@@ -136,26 +136,22 @@ int Main(int argc, char** argv) {
   std::printf("running measured column on the threaded engine (%u core%s)...\n",
               cores, cores == 1 ? "" : "s");
   Pattern keyed = KeyedSeq3();
-  // Three engine variants per parallelism level: the task-pool scheduler
-  // with chaining ("measured"), the task pool with every forward edge
-  // paying a real exchange ("measured-nochain"), and the legacy
-  // thread-per-subtask executor ("measured-legacy") — the scheduler A/B on
-  // the same plan and data.
+  // Two engine variants per parallelism level: the task-pool scheduler
+  // ("measured") and the legacy thread-per-subtask executor
+  // ("measured-legacy") — the scheduler A/B on the same plan and data.
   struct EngineVariant {
     const char* name;
-    bool chaining;
     bool task_scheduler;
   };
   constexpr EngineVariant kVariants[] = {
-      {"measured", true, true},
-      {"measured-nochain", false, true},
-      {"measured-legacy", true, false},
+      {"measured", true},
+      {"measured-legacy", false},
   };
-  double measured_base[3] = {0, 0, 0};  // indexed by variant
+  double measured_base[2] = {0, 0};  // indexed by variant
   double measured_p4 = 0;
   int64_t base_matches = -1;
   for (int parallelism : {1, 2, 4}) {
-    for (size_t variant = 0; variant < 3; ++variant) {
+    for (size_t variant = 0; variant < 2; ++variant) {
       const EngineVariant& v = kVariants[variant];
       TranslatorOptions o3;
       o3.use_equi_join_keys = true;
@@ -165,9 +161,7 @@ int Main(int argc, char** argv) {
                                        /*store_matches=*/false);
       CEP2ASP_CHECK(compiled.ok()) << compiled.status();
       const char* engine = v.name;
-      const bool chaining = v.chaining;
       ThreadedExecutorOptions exec_options;
-      exec_options.enable_chaining = chaining;
       exec_options.use_task_scheduler = v.task_scheduler;
       ThreadedExecutor executor(&compiled->graph, exec_options);
       ExecutionResult result = executor.Run(compiled->sink);
@@ -210,13 +204,8 @@ int Main(int argc, char** argv) {
   }
   if (measured_base[0] > 0 && measured_base[1] > 0) {
     std::printf(
-        "chaining delta at P1 (measured vs measured-nochain): %.2fx\n",
-        measured_base[0] / measured_base[1]);
-  }
-  if (measured_base[0] > 0 && measured_base[2] > 0) {
-    std::printf(
         "scheduler delta at P1 (task pool vs legacy threads): %.2fx\n",
-        measured_base[0] / measured_base[2]);
+        measured_base[0] / measured_base[1]);
   }
   CEP2ASP_CHECK_OK(table.WriteCsv("fig6_scalability"));
   return 0;

@@ -18,6 +18,7 @@
 #include "asp/stateless.h"
 #include "event/expr_program.h"
 #include "cep/cep_operator.h"
+#include "harness/bench_util.h"
 #include "runtime/bounded_queue.h"
 #include "runtime/channel.h"
 #include "runtime/columnar_batch.h"
@@ -243,12 +244,12 @@ BENCHMARK(BM_RawChannelTransfer)
 
 // End-to-end exchange cost through the threaded executor: a pass-through
 // pipeline (source -> 2 filters -> sink) where per-tuple operator work is
-// trivial, so throughput is dominated by the channel layer. Args are
-// (batch_size, enable_spsc); {1, 0} reproduces the historical per-tuple
-// mutex exchange, {64, 1} is the micro-batched SPSC fast path.
+// trivial, so throughput is dominated by the channel layer. Every edge
+// has fan-in 1 and so rides the SPSC ring; the arg is batch_size, where 1
+// reproduces the historical per-tuple exchange. BM_RawChannel compares the
+// ring against the mutex queue.
 void BM_ThreadedExchange(benchmark::State& state) {
   const size_t batch = static_cast<size_t>(state.range(0));
-  const bool spsc = state.range(1) != 0;
   const int n = 100000;
   std::vector<SimpleEvent> events = MakeEvents(TypeA(), n, 10);
   for (auto _ : state) {
@@ -261,35 +262,28 @@ void BM_ThreadedExchange(benchmark::State& state) {
     auto sink_op = std::make_unique<CollectSink>(false);
     CollectSink* sink = sink_op.get();
     graph.AddOperatorAfter(f2, std::move(sink_op));
-    ThreadedExecutorOptions options;
-    options.batch_size = batch;
-    options.enable_spsc = spsc;
     // This benchmark measures the exchange layer; with chaining on the
     // filters fuse and there would be no exchange left to measure.
-    options.enable_chaining = false;
+    DisableChaining(&graph);
+    ThreadedExecutorOptions options;
+    options.batch_size = batch;
     ThreadedExecutor executor(&graph, options);
     ExecutionResult result = executor.Run(sink);
     benchmark::DoNotOptimize(result.matches_emitted);
   }
   state.SetItemsProcessed(state.iterations() * n);
-  state.SetLabel("batch=" + std::to_string(batch) +
-                 (spsc ? " spsc" : " mutex"));
+  state.SetLabel("batch=" + std::to_string(batch));
 }
-BENCHMARK(BM_ThreadedExchange)
-    ->Args({1, 0})
-    ->Args({1, 1})
-    ->Args({8, 1})
-    ->Args({64, 0})
-    ->Args({64, 1})
-    ->UseRealTime();
+BENCHMARK(BM_ThreadedExchange)->Arg(1)->Arg(8)->Arg(64)->UseRealTime();
 
 // --- Operator chaining -------------------------------------------------------
 //
 // The chain A/B: a forward pipeline (source -> filter -> map -> filter ->
 // sink) where every operator edge is chainable. Chain on fuses the four
 // operators into one subtask (tuples handed between Process calls, no
-// exchange); chain off runs the historical one-thread-per-node layout with
-// a real channel on every edge.
+// exchange); chain off opts every operator out (JobGraph::SetChaining),
+// the historical one-subtask-per-node layout with a real channel on every
+// edge.
 
 struct ChainPipeline {
   JobGraph graph;
@@ -319,9 +313,8 @@ void BM_ForwardChainPipeline(benchmark::State& state) {
   std::vector<SimpleEvent> events = MakeEvents(TypeA(), n, 10);
   for (auto _ : state) {
     ChainPipeline p = MakeForwardChainPipeline(events);
-    ThreadedExecutorOptions options;
-    options.enable_chaining = chained;
-    ThreadedExecutor executor(&p.graph, options);
+    if (!chained) DisableChaining(&p.graph);
+    ThreadedExecutor executor(&p.graph);
     ExecutionResult result = executor.Run(p.sink);
     benchmark::DoNotOptimize(result.matches_emitted);
   }
@@ -345,9 +338,8 @@ ChainAbSide RunChainSide(bool chained, int n, int repetitions) {
   double best_seconds = 0;
   for (int rep = 0; rep < repetitions; ++rep) {
     ChainPipeline p = MakeForwardChainPipeline(events);
-    ThreadedExecutorOptions options;
-    options.enable_chaining = chained;
-    ThreadedExecutor executor(&p.graph, options);
+    if (!chained) DisableChaining(&p.graph);
+    ThreadedExecutor executor(&p.graph);
     const auto start = std::chrono::steady_clock::now();
     ExecutionResult result = executor.Run(p.sink);
     const std::chrono::duration<double> elapsed =
@@ -364,8 +356,7 @@ ChainAbSide RunChainSide(bool chained, int n, int repetitions) {
           ++side.channels;
         }
       }
-      const ChainLayout layout =
-          ComputeChainLayout(p.graph, /*chaining_enabled=*/chained);
+      const ChainLayout layout = ComputeChainLayout(p.graph);
       side.threads = 0;
       for (NodeId id = 0; id < p.graph.num_nodes(); ++id) {
         if (p.graph.node(id).is_source()) ++side.threads;
@@ -976,102 +967,12 @@ void RunSoaChannelOnce(bool columnar, const std::vector<SimpleEvent>& events,
   side->tps.push_back(static_cast<double>(events.size()) / elapsed.count());
 }
 
-/// Hash-edge A/B: what a hash-partitioned exchange edge costs per row with
-/// and without block shipping. Columnar side: split each gathered block
-/// into per-subtask sub-blocks (ColumnarBatch::PartitionByKey — batched
-/// splitmix64 over the contiguous key column, then one pre-sized scatter
-/// per column) and push each sub-block as one kColumnar envelope. Row
-/// side: per row, a scalar KeyToSubtask plus one Message copy into the
-/// target's staging batch, flushed at the executor's batch size — exactly
-/// the RoutingCollector::Append path. Keys are spread pseudo-randomly so
-/// neither side benefits from runs; the consumer folds (subtask+1)-weighted
-/// row counts so any routing divergence fails the run.
-void RunHashPartitionOnce(bool columnar, const std::vector<SimpleEvent>& events,
-                          SchedAbSide* side) {
-  constexpr size_t kBlockRows = 256;  // one partition call per gathered block
-  constexpr int kParallelism = 4;
-  constexpr size_t kStageFlush = 64;  // row staging batch, as in the executor
-
-  // Payloads pre-built untimed, identically keyed on both sides.
-  std::vector<std::unique_ptr<ColumnarBatch>> blocks;
-  std::vector<Tuple> tuples;
-  if (columnar) {
-    for (size_t i = 0; i < events.size(); i += kBlockRows) {
-      auto block = std::make_unique<ColumnarBatch>(1);
-      const size_t end = std::min(events.size(), i + kBlockRows);
-      block->Reserve(end - i);
-      for (size_t j = i; j < end; ++j) {
-        Tuple t(events[j]);
-        t.set_key(static_cast<int64_t>(j * 7919) % 1024);
-        block->AppendTuple(t);
-      }
-      blocks.push_back(std::move(block));
-    }
-  } else {
-    tuples.reserve(events.size());
-    for (size_t j = 0; j < events.size(); ++j) {
-      Tuple t(events[j]);
-      t.set_key(static_cast<int64_t>(j * 7919) % 1024);
-      tuples.push_back(std::move(t));
-    }
-  }
-
-  SpscChannel channel(4096);
-  int64_t checksum = 0;
-  const auto start = std::chrono::steady_clock::now();
-  std::thread consumer([&channel, &checksum] {
-    MessageBatch popped;
-    while (channel.PopBatch(&popped, 64)) {
-      for (Message& msg : popped) {
-        if (msg.kind == MessageKind::kTuple) {
-          checksum += msg.slot + 1;
-        } else if (msg.kind == MessageKind::kColumnar) {
-          checksum += (msg.slot + 1) * msg.columnar_rows;
-        }
-      }
-    }
-  });
-  if (columnar) {
-    for (auto& block : blocks) {
-      std::vector<std::unique_ptr<ColumnarBatch>> parts =
-          block->PartitionByKey(kParallelism);
-      block.reset();
-      for (int s = 0; s < kParallelism; ++s) {
-        if (parts[static_cast<size_t>(s)] == nullptr) continue;
-        MessageBatch envelope;
-        envelope.push_back(
-            Message::Columnar(0, std::move(parts[static_cast<size_t>(s)]), s));
-        CEP2ASP_CHECK(channel.PushBatch(&envelope));
-      }
-    }
-  } else {
-    MessageBatch staging[kParallelism];
-    for (const Tuple& t : tuples) {
-      const int s = KeyToSubtask(t.key(), kParallelism);
-      staging[s].push_back(Message::Data(0, t, s));
-      if (staging[s].size() >= kStageFlush) {
-        CEP2ASP_CHECK(channel.PushBatch(&staging[s]));
-        staging[s].clear();
-      }
-    }
-    for (int s = 0; s < kParallelism; ++s) {
-      CEP2ASP_CHECK(channel.PushBatch(&staging[s]));
-    }
-  }
-  channel.Close();
-  consumer.join();
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - start;
-  side->matches = checksum;
-  side->tps.push_back(static_cast<double>(events.size()) / elapsed.count());
-}
-
 /// Join-ingest A/B: SlidingWindowJoinOperator::ProcessColumnar (column-wise
 /// append into the per-(key, side) SoA window buffers, one key lookup per
 /// run of equal keys) vs the base-class scatter shim the join paid before
 /// it was columnar-capable (explicitly `Operator::ProcessColumnar`: a
 /// RowTuple gather plus per-tuple Process per row). Keys arrive in 16-row
-/// bursts — the shape per-sensor sources and hash-partitioned sub-blocks
+/// bursts — the shape per-sensor sources
 /// produce — and the right side receives 1/64 of the blocks with a
 /// never-true condition, so firing and probing stay a small, identical
 /// cost on both sides and the measured path is the ingest itself.
@@ -1134,23 +1035,18 @@ void RunJoinIngestOnce(bool columnar, const std::vector<SimpleEvent>& events,
 }
 
 /// Runs the row-major vs columnar A/B (compiled stage + channel transfer
-/// + hash partition + join ingest) and writes
-/// bench_results/BENCH_soa.json. Paired, order-alternating repetitions
-/// with one untimed warm-up, exactly like the expr A/B. Exit status gates
-/// CI: the columnar stage must reach 1.5x row-major, block
-/// hash-partitioning 1.3x the per-row scatter, and the join's columnar
-/// ingest 1.2x the row-major shim.
+/// + join ingest) and writes bench_results/BENCH_soa.json. Paired,
+/// order-alternating repetitions with one untimed warm-up, exactly like
+/// the expr A/B. Exit status gates CI: the columnar stage must reach 1.5x
+/// row-major and the join's columnar ingest 1.2x the row-major shim.
 int RunSoaAb(bool quick) {
   const int n = quick ? 300000 : 2000000;
   const int channel_rows = quick ? 1 << 16 : 1 << 17;
-  const int partition_rows = quick ? 1 << 16 : 1 << 19;
   const int join_rows = quick ? 1 << 16 : 1 << 19;
   const int repetitions = quick ? 5 : 9;
   std::vector<SimpleEvent> events = MakeEvents(TypeA(), n, 10);
   std::vector<SimpleEvent> channel_events =
       MakeEvents(TypeA(), channel_rows, 10);
-  std::vector<SimpleEvent> partition_events =
-      MakeEvents(TypeA(), partition_rows, 10);
   std::vector<SimpleEvent> join_events = MakeEvents(TypeA(), join_rows, 10);
 
   SchedAbSide col, row;
@@ -1191,28 +1087,6 @@ int RunSoaAb(bool quick) {
     return 1;
   }
 
-  SchedAbSide part_col, part_row;
-  {
-    SchedAbSide warmup;
-    RunHashPartitionOnce(/*columnar=*/true, partition_events, &warmup);
-    RunHashPartitionOnce(/*columnar=*/false, partition_events, &warmup);
-  }
-  for (int rep = 0; rep < repetitions; ++rep) {
-    const bool col_first = (rep % 2) == 0;
-    RunHashPartitionOnce(col_first, partition_events,
-                         col_first ? &part_col : &part_row);
-    RunHashPartitionOnce(!col_first, partition_events,
-                         col_first ? &part_row : &part_col);
-  }
-  if (part_col.matches != part_row.matches) {
-    std::fprintf(stderr,
-                 "soa A/B: hash-partition checksums diverged (columnar %lld "
-                 "vs row-major %lld)\n",
-                 static_cast<long long>(part_col.matches),
-                 static_cast<long long>(part_row.matches));
-    return 1;
-  }
-
   SchedAbSide join_col, join_row;
   {
     SchedAbSide warmup;
@@ -1237,14 +1111,10 @@ int RunSoaAb(bool quick) {
 
   const double stage_speedup = MedianPairedRatio(col, row);
   const double channel_speedup = MedianPairedRatio(chan_col, chan_row);
-  const double partition_speedup = MedianPairedRatio(part_col, part_row);
   const double join_speedup = MedianPairedRatio(join_col, join_row);
   constexpr double kGate = 1.5;
-  constexpr double kPartitionGate = 1.3;
   constexpr double kJoinGate = 1.2;
-  const bool gate_passed = stage_speedup >= kGate &&
-                           partition_speedup >= kPartitionGate &&
-                           join_speedup >= kJoinGate;
+  const bool gate_passed = stage_speedup >= kGate && join_speedup >= kJoinGate;
 
   char buf[256];
   std::string json = "{\n";
@@ -1269,13 +1139,6 @@ int RunSoaAb(bool quick) {
                 "\"row_tps\": %.0f, \"speedup\": %.2f},\n",
                 channel_rows, Median(chan_col.tps), Median(chan_row.tps),
                 channel_speedup);
-  json += buf;
-  std::snprintf(buf, sizeof(buf),
-                "  \"hash_partition_ab\": {\"rows\": %d, \"parallelism\": 4, "
-                "\"columnar_tps\": %.0f, \"row_tps\": %.0f, "
-                "\"speedup\": %.2f, \"gate_min_speedup\": %.2f},\n",
-                partition_rows, Median(part_col.tps), Median(part_row.tps),
-                partition_speedup, kPartitionGate);
   json += buf;
   std::snprintf(buf, sizeof(buf),
                 "  \"join_ingest_ab\": {\"rows\": %d, "
@@ -1305,10 +1168,8 @@ int RunSoaAb(bool quick) {
   if (!gate_passed) {
     std::fprintf(stderr,
                  "soa A/B gate FAILED: stage %.2fx (floor %.2f), "
-                 "hash-partition %.2fx (floor %.2f), join ingest %.2fx "
-                 "(floor %.2f)\n",
-                 stage_speedup, kGate, partition_speedup, kPartitionGate,
-                 join_speedup, kJoinGate);
+                 "join ingest %.2fx (floor %.2f)\n",
+                 stage_speedup, kGate, join_speedup, kJoinGate);
     return 1;
   }
   return 0;

@@ -13,6 +13,24 @@ std::string NodeLabel(const JobGraph& graph, NodeId id) {
   return "node " + std::to_string(id) + " (" + name + ")";
 }
 
+/// Why a channel edge cannot carry column blocks, or "" when it can:
+/// forward edges and parallelism-1 hash edges into a columnar-capable
+/// consumer ship blocks whole (RoutingCollector's per-edge negotiation).
+std::string BlockBarrier(const JobGraph& graph, const JobGraph::Edge& edge) {
+  const JobGraph::Node& consumer = graph.node(edge.to);
+  if (edge.partition == PartitionMode::kBroadcast) {
+    return "broadcast would deep-copy blocks";
+  }
+  if (edge.partition == PartitionMode::kHash &&
+      graph.parallelism(edge.to) > 1) {
+    return "hash edge into a parallel consumer routes rows";
+  }
+  if (consumer.op == nullptr || !consumer.op->Traits().columnar_capable) {
+    return "consumer is row-major";
+  }
+  return "";
+}
+
 }  // namespace
 
 DiagnosticReport AnalyzeChaining(const JobGraph& graph) {
@@ -26,7 +44,6 @@ DiagnosticReport AnalyzeChaining(const JobGraph& graph) {
         case ChainBreak::kChained:
         case ChainBreak::kNotForward:
         case ChainBreak::kSourceProducer:
-        case ChainBreak::kDisabled:
           continue;
         case ChainBreak::kProducerOptedOut:
         case ChainBreak::kConsumerOptedOut:
@@ -76,39 +93,23 @@ DiagnosticReport AnalyzeColumnarLayout(const JobGraph& graph) {
         continue;
       }
       // Channel edge: mirror RoutingCollector's per-edge negotiation.
-      // Forward and hash edges into columnar-capable consumers carry
-      // blocks (hash via PartitionByKey); broadcast edges and row-major
-      // consumers cannot. Blocks travel only when EVERY out-edge of the
-      // producer is eligible — one ineligible sibling makes the whole
-      // fan-out scatter once.
-      std::string reason;
-      if (edge.partition == PartitionMode::kBroadcast) {
-        reason = "broadcast would deep-copy blocks";
-      } else if (!consumer_columnar) {
-        reason = "consumer is row-major";
-      }
-      bool all_eligible = reason.empty();
-      if (all_eligible) {
+      // Blocks travel only when EVERY out-edge of the producer is
+      // eligible — one ineligible sibling makes the whole fan-out scatter
+      // once.
+      std::string reason = BlockBarrier(graph, edge);
+      if (reason.empty()) {
         for (const JobGraph::Edge& sibling : node.outputs) {
-          const JobGraph::Node& sib_consumer = graph.node(sibling.to);
-          const bool sib_columnar =
-              sib_consumer.op != nullptr &&
-              sib_consumer.op->Traits().columnar_capable;
-          if (sibling.partition == PartitionMode::kBroadcast ||
-              !sib_columnar) {
-            all_eligible = false;
+          if (!BlockBarrier(graph, sibling).empty()) {
             reason = "sibling edge cannot carry blocks";
             break;
           }
         }
       }
-      if (all_eligible) {
+      if (reason.empty()) {
         report.Add(DiagnosticCode::kGraphColumnarStatus,
                    NodeLabel(graph, from),
                    "edge to " + to_label +
-                       (edge.partition == PartitionMode::kHash
-                            ? ": columnar (hash-partitions blocks per subtask)"
-                            : ": columnar (ships column blocks whole)"));
+                       ": columnar (ships column blocks whole)");
       } else if (producer_columnar) {
         report.Add(DiagnosticCode::kGraphColumnarStatus,
                    NodeLabel(graph, from),

@@ -26,13 +26,16 @@ DiagnosticReport AnalyzeChaining(const JobGraph& graph);
 ///
 /// Reports, per operator-feeding edge, how tuples would travel under the
 /// executor's SoA negotiation (ThreadedExecutorOptions::enable_columnar):
-///   - "columnar"     — the edge ships whole ColumnarBatch envelopes (single
-///                      forward-mode edge into a columnar-capable consumer,
-///                      or an in-chain hand-off between capable operators);
+///   - "columnar"     — the edge ships whole ColumnarBatch envelopes (a
+///                      forward or parallelism-1 hash edge into a
+///                      columnar-capable consumer, with every sibling edge
+///                      eligible too, or an in-chain hand-off between
+///                      capable operators);
 ///   - "scatter shim" — the producer runs columnar but this edge cannot
-///                      carry blocks (fan-out, hash/broadcast partitioning,
-///                      or a row-major consumer), so blocks are scattered
-///                      back to rows at the boundary;
+///                      carry blocks (an ineligible sibling, broadcast, a
+///                      hash edge into a parallel consumer, or a row-major
+///                      consumer), so blocks are scattered back to rows at
+///                      the boundary;
 ///   - "row-major"    — rows travel individually, with the blocking reason.
 /// Mirrors RoutingCollector's negotiation exactly; like AnalyzeChaining it
 /// stays out of AnalyzeJobGraph so executor reports remain info-free.

@@ -135,7 +135,8 @@ constexpr CodeInfo kRegistry[] = {
      "selectivity bounds (range pass; plan_lint --ranges)"},
     {DiagnosticCode::kGraphExprVerifyFailed, DiagnosticSeverity::kError,
      "compiled expression bytecode failed static verification (malformed "
-     "encoding: bad opcode, out-of-range operand, or unbalanced stack)"},
+     "encoding: bad opcode, out-of-range operand, or no terminating "
+     "kHalt)"},
     {DiagnosticCode::kGraphColumnarStatus, DiagnosticSeverity::kInfo,
      "per-edge columnar (SoA) transfer report: whether the edge ships "
      "column blocks whole, crosses a gather/scatter shim, or stays "

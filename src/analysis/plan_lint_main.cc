@@ -241,9 +241,8 @@ void PrintSchedule(const std::string& name, const Pattern& pattern,
   }
   const JobGraph& graph = query.ValueOrDie().graph;
   std::printf("%s x %s:\n", name.c_str(), set.name);
-  std::printf("%s", ScheduleToString(graph, /*chaining_enabled=*/true).c_str());
-  PrintReport(AnalyzeSchedule(graph, /*chaining_enabled=*/true,
-                              /*use_task_scheduler=*/false));
+  std::printf("%s", ScheduleToString(graph).c_str());
+  PrintReport(AnalyzeSchedule(graph, /*use_task_scheduler=*/false));
 }
 
 int PrintPaperSchedule() {

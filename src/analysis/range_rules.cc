@@ -115,11 +115,9 @@ struct Cursor {
   double selectivity = -1.0;
 };
 
-/// Interprets a compiled program over the abstract state. Returns false
-/// when the program contains stack-form instructions the pass does not
-/// model (the state is left as the input — sound for a filter, which can
-/// only narrow, with the key widened if the program stores one).
-bool InterpretProgram(const ExprProgram& program, Cursor* cur) {
+/// Interprets a compiled program over the abstract state, one term
+/// instruction at a time.
+void InterpretProgram(const ExprProgram& program, Cursor* cur) {
   for (const ExprInsn& insn : program.code()) {
     switch (insn.op) {
       case ExprOp::kCmpAttrConstFail:
@@ -151,14 +149,9 @@ bool InterpretProgram(const ExprProgram& program, Cursor* cur) {
             static_cast<double>(program.key_pool()[insn.imm]));
         break;
       case ExprOp::kHalt:
-        return true;
-      default:
-        // Stack-form encoding: not modeled term-wise.
-        if (program.assigns_key()) cur->facts->key = Interval::All();
-        return false;
+        return;
     }
   }
-  return true;
 }
 
 void ApplyPredicate(const Predicate& pred, bool broadcast, Cursor* cur) {

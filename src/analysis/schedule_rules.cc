@@ -35,12 +35,12 @@ int ResolveHardwareThreads(int hardware_threads) {
 
 }  // namespace
 
-DiagnosticReport AnalyzeSchedule(const JobGraph& graph, bool chaining_enabled,
+DiagnosticReport AnalyzeSchedule(const JobGraph& graph,
                                  bool use_task_scheduler,
                                  int hardware_threads) {
   DiagnosticReport report;
   if (use_task_scheduler) return report;
-  const ChainLayout layout = ComputeChainLayout(graph, chaining_enabled);
+  const ChainLayout layout = ComputeChainLayout(graph);
   const int threads = LegacyThreadCount(graph, layout);
   const int cores = ResolveHardwareThreads(hardware_threads);
   if (threads <= cores) return report;
@@ -54,9 +54,8 @@ DiagnosticReport AnalyzeSchedule(const JobGraph& graph, bool chaining_enabled,
   return report;
 }
 
-std::string ScheduleToString(const JobGraph& graph, bool chaining_enabled,
-                             int worker_threads) {
-  const ChainLayout layout = ComputeChainLayout(graph, chaining_enabled);
+std::string ScheduleToString(const JobGraph& graph, int worker_threads) {
+  const ChainLayout layout = ComputeChainLayout(graph);
   std::string out;
   int task = 0;
   for (NodeId id = 0; id < graph.num_nodes(); ++id) {

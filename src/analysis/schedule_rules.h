@@ -12,7 +12,7 @@ namespace cep2asp {
 ///
 /// Counts the OS threads the legacy thread-per-subtask path would spawn
 /// for `graph` — one per source node plus one per (chain, subtask
-/// instance) under the given chaining setting — and reports one info
+/// instance) — and reports one info
 /// diagnostic when that exceeds the hardware's concurrency while
 /// `use_task_scheduler` is off. The finding is a tuning hint: the same
 /// physical plan runs on the task scheduler's fixed worker pool without
@@ -24,7 +24,6 @@ namespace cep2asp {
 /// AnalyzeJobGraph so executors and ExecutionResult::diagnostics stay
 /// info-free.
 DiagnosticReport AnalyzeSchedule(const JobGraph& graph,
-                                 bool chaining_enabled,
                                  bool use_task_scheduler,
                                  int hardware_threads = 0);
 
@@ -33,8 +32,7 @@ DiagnosticReport AnalyzeSchedule(const JobGraph& graph,
 /// the totals — task count, legacy thread count, and the worker-pool size
 /// the task scheduler would use (`worker_threads`, 0 meaning
 /// hardware_concurrency).
-std::string ScheduleToString(const JobGraph& graph, bool chaining_enabled,
-                             int worker_threads = 0);
+std::string ScheduleToString(const JobGraph& graph, int worker_threads = 0);
 
 }  // namespace cep2asp
 

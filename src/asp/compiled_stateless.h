@@ -39,18 +39,10 @@ class CompiledStatelessOperator : public Operator {
 #ifndef NDEBUG
     // Every emitter output is statically verified before it can run: a
     // malformed encoding aborts here instead of reading out of bounds in
-    // the dispatch loop.
+    // the dispatch loop or a columnar kernel.
     const Status verdict = ExprVerifier::Verify(program_, declared_events_);
     CEP2ASP_CHECK(verdict.ok())
         << "expr verifier rejected " << label_ << ": " << verdict.message();
-    if (program_.IsColumnarExecutable()) {
-      // The columnar entry point is a second execution mode of the same
-      // bytecode; verify it under the columnar rules too (E321 covers both).
-      const Status columnar = ExprVerifier::VerifyColumnar(program_,
-                                                           declared_events_);
-      CEP2ASP_CHECK(columnar.ok()) << "columnar expr verifier rejected "
-                                   << label_ << ": " << columnar.message();
-    }
 #endif
   }
 
@@ -64,7 +56,7 @@ class CompiledStatelessOperator : public Operator {
     traits.program = &program_;
     traits.expr_capacity = declared_events_;
     traits.selectivity_bound = selectivity_bound_;
-    traits.columnar_capable = program_.IsColumnarExecutable();
+    traits.columnar_capable = true;
     return traits;
   }
 
@@ -104,13 +96,7 @@ class CompiledStatelessOperator : public Operator {
   Status ProcessColumnar(int input, std::unique_ptr<ColumnarBatch> block,
                          Collector* out) override {
     (void)input;
-    // Fused prefix programs are always columnar-executable (the translator
-    // emits only fused term opcodes); a stack-form program would fall back
-    // to the base-class scatter shim via RunColumnar returning false.
-    const ExprColumnarView view = block->View();
-    if (!program_.RunColumnar(view)) {
-      return Operator::ProcessColumnar(input, std::move(block), out);
-    }
+    program_.RunColumnar(block->View());
     block->Compact();
     if (!block->empty()) out->EmitColumnar(std::move(block));
     return Status::OK();

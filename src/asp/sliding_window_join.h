@@ -68,8 +68,8 @@ class SlidingWindowJoinOperator : public Operator {
     traits.predicate = &condition_;  // positional over the joined tuple
     traits.selectivity_bound = selectivity_bound_;
     // Window buffers are SoA (per-side ColumnarBatch): arriving column
-    // blocks append column-wise via ProcessColumnar, so upstream edges —
-    // including hash edges, via PartitionByKey — may carry blocks whole.
+    // blocks append column-wise via ProcessColumnar, so forward and
+    // parallelism-1 hash edges into the join may carry blocks whole.
     traits.columnar_capable = true;
     return traits;
   }

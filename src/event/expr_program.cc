@@ -24,12 +24,8 @@
 namespace cep2asp {
 namespace {
 
-/// Fixed evaluation stack: straight-line comparison code never holds more
-/// than two operands, the slack is headroom for future ops.
-constexpr size_t kMaxStack = 8;
-
-/// Builds a stack-form instruction (a/b operands + pool index).
-ExprInsn StackInsn(ExprOp op, uint8_t a, uint8_t b, uint8_t imm) {
+/// Builds a halt or key-store instruction (a/b operands + pool index).
+ExprInsn KeyInsn(ExprOp op, uint8_t a, uint8_t b, uint8_t imm) {
   ExprInsn insn;
   insn.op = op;
   insn.a = a;
@@ -38,7 +34,7 @@ ExprInsn StackInsn(ExprOp op, uint8_t a, uint8_t b, uint8_t imm) {
   return insn;
 }
 
-/// Builds a fused term instruction: lhs (var, attr), cmp, rhs (var, attr),
+/// Builds a term instruction: lhs (var, attr), cmp, rhs (var, attr),
 /// const-pool index.
 ExprInsn TermInsn(ExprOp op, uint8_t lvar, uint8_t lattr, CmpOp cmp,
                   uint8_t rvar, uint8_t rattr, uint8_t imm) {
@@ -88,8 +84,7 @@ uint8_t ExprProgram::InternKey(int64_t value) {
   return static_cast<uint8_t>(key_pool_.size() - 1);
 }
 
-void ExprProgram::EmitComparison(const Comparison& term, VarMode mode,
-                                 bool fuse_terms) {
+void ExprProgram::EmitComparison(const Comparison& term, VarMode mode) {
   const auto var_of = [mode](int var) { return mode == VarMode::kBroadcast ? 0 : var; };
   const int lhs_var = var_of(term.lhs.var);
   if (lhs_var < 0 || lhs_var > 255) {
@@ -106,46 +101,26 @@ void ExprProgram::EmitComparison(const Comparison& term, VarMode mode,
     }
     const uint8_t rvar = static_cast<uint8_t>(rhs_var);
     const uint8_t rattr = static_cast<uint8_t>(term.rhs_attr.attr);
-    if (fuse_terms) {
-      if (term.rhs_offset != 0.0) {
-        code_.push_back(TermInsn(ExprOp::kCmpAttrAttrOffFail, lvar, lattr,
-                                 term.op, rvar, rattr,
-                                 InternConst(term.rhs_offset)));
-      } else {
-        code_.push_back(
-            TermInsn(ExprOp::kCmpAttrAttrFail, lvar, lattr, term.op, rvar,
-                     rattr, 0));
-      }
-      return;
-    }
-    code_.push_back(StackInsn(ExprOp::kLoadAttr, lvar, lattr, 0));
-    code_.push_back(StackInsn(ExprOp::kLoadAttr, rvar, rattr, 0));
     if (term.rhs_offset != 0.0) {
-      code_.push_back(
-          StackInsn(ExprOp::kAddOffset, 0, 0, InternConst(term.rhs_offset)));
+      code_.push_back(TermInsn(ExprOp::kCmpAttrAttrOffFail, lvar, lattr,
+                               term.op, rvar, rattr,
+                               InternConst(term.rhs_offset)));
+    } else {
+      code_.push_back(TermInsn(ExprOp::kCmpAttrAttrFail, lvar, lattr, term.op,
+                               rvar, rattr, 0));
     }
   } else {
-    if (fuse_terms) {
-      code_.push_back(TermInsn(ExprOp::kCmpAttrConstFail, lvar, lattr, term.op,
-                               0, 0, InternConst(term.rhs_const)));
-      return;
-    }
-    code_.push_back(StackInsn(ExprOp::kLoadAttr, lvar, lattr, 0));
-    code_.push_back(
-        StackInsn(ExprOp::kLoadConst, 0, 0, InternConst(term.rhs_const)));
+    code_.push_back(TermInsn(ExprOp::kCmpAttrConstFail, lvar, lattr, term.op,
+                             0, 0, InternConst(term.rhs_const)));
   }
-  code_.push_back(
-      StackInsn(ExprOp::kCmp, static_cast<uint8_t>(term.op), 0, 0));
-  code_.push_back(StackInsn(ExprOp::kAndFail, 0, 0, 0));
 }
 
-ExprProgram ExprProgram::Filter(const Predicate& pred, VarMode mode,
-                                bool fuse_terms) {
+ExprProgram ExprProgram::Filter(const Predicate& pred, VarMode mode) {
   ExprProgram out;
   for (const Comparison& term : pred.terms()) {
-    out.EmitComparison(term, mode, fuse_terms);
+    out.EmitComparison(term, mode);
   }
-  out.code_.push_back(StackInsn(ExprOp::kHalt, 0, 0, 0));
+  out.code_.push_back(KeyInsn(ExprOp::kHalt, 0, 0, 0));
   return out;
 }
 
@@ -155,18 +130,18 @@ ExprProgram ExprProgram::KeyByAttribute(int event_index, Attribute attr) {
     out.Fail();
     return out;
   }
-  out.code_.push_back(StackInsn(ExprOp::kStoreKeyAttr,
-                                static_cast<uint8_t>(event_index),
-                                static_cast<uint8_t>(attr), 0));
-  out.code_.push_back(StackInsn(ExprOp::kHalt, 0, 0, 0));
+  out.code_.push_back(KeyInsn(ExprOp::kStoreKeyAttr,
+                              static_cast<uint8_t>(event_index),
+                              static_cast<uint8_t>(attr), 0));
+  out.code_.push_back(KeyInsn(ExprOp::kHalt, 0, 0, 0));
   return out;
 }
 
 ExprProgram ExprProgram::KeyByConstant(int64_t key) {
   ExprProgram out;
   out.code_.push_back(
-      StackInsn(ExprOp::kStoreKeyConst, 0, 0, out.InternKey(key)));
-  out.code_.push_back(StackInsn(ExprOp::kHalt, 0, 0, 0));
+      KeyInsn(ExprOp::kStoreKeyConst, 0, 0, out.InternKey(key)));
+  out.code_.push_back(KeyInsn(ExprOp::kHalt, 0, 0, 0));
   return out;
 }
 
@@ -187,15 +162,13 @@ ExprProgram ExprProgram::Fuse(const ExprProgram& first,
   out.const_pool_ = first.const_pool_;
   out.key_pool_ = first.key_pool_;
   out.code_ = first.code_;
-  // Drop first's terminating kHalt; a failing kAndFail inside still exits
+  // Drop first's terminating kHalt; a failing term inside still exits
   // before second runs, which is exactly the pipeline's filter→map order.
   if (!out.code_.empty() && out.code_.back().op == ExprOp::kHalt) {
     out.code_.pop_back();
   }
   for (ExprInsn insn : second.code_) {
     switch (insn.op) {
-      case ExprOp::kLoadConst:
-      case ExprOp::kAddOffset:
       case ExprOp::kCmpAttrConstFail:
       case ExprOp::kCmpAttrAttrOffFail:
         insn.imm = out.InternConst(second.const_pool_[insn.imm]);
@@ -228,53 +201,16 @@ bool ExprProgram::assigns_key() const {
 static bool ExecProgram(const ExprInsn* pc, const double* const_pool,
                         const int64_t* key_pool, const SimpleEvent* events,
                         size_t count, Tuple* tuple) {
-  double stack[kMaxStack];
-  size_t sp = 0;
   (void)count;
 
 #if defined(__GNUC__) || defined(__clang__)
   // Table order must match the ExprOp enumerator order.
   static const void* kDispatch[] = {
-      &&op_load_attr,       &&op_load_const, &&op_add_offset,
-      &&op_cmp,             &&op_and_fail,   &&op_store_key_attr,
-      &&op_store_key_const, &&op_halt,       &&op_cmp_attr_const_fail,
-      &&op_cmp_attr_attr_fail, &&op_cmp_attr_attr_off_fail,
+      &&op_store_key_attr,      &&op_store_key_const,
+      &&op_halt,                &&op_cmp_attr_const_fail,
+      &&op_cmp_attr_attr_fail,  &&op_cmp_attr_attr_off_fail,
   };
 #define CEP2ASP_EXPR_NEXT() goto* kDispatch[static_cast<uint8_t>((pc)->op)]
-  CEP2ASP_EXPR_NEXT();
-
-op_load_attr:
-  CEP2ASP_DCHECK(pc->a < count) << "expr var out of range";
-  CEP2ASP_DCHECK(sp < kMaxStack);
-  stack[sp++] = GetAttribute(events[pc->a], static_cast<Attribute>(pc->b));
-  ++pc;
-  CEP2ASP_EXPR_NEXT();
-
-op_load_const:
-  CEP2ASP_DCHECK(sp < kMaxStack);
-  stack[sp++] = const_pool[pc->imm];
-  ++pc;
-  CEP2ASP_EXPR_NEXT();
-
-op_add_offset:
-  CEP2ASP_DCHECK(sp > 0);
-  stack[sp - 1] += const_pool[pc->imm];
-  ++pc;
-  CEP2ASP_EXPR_NEXT();
-
-op_cmp : {
-  CEP2ASP_DCHECK(sp >= 2);
-  const double rhs = stack[--sp];
-  const double lhs = stack[--sp];
-  stack[sp++] = EvalCmp(lhs, static_cast<CmpOp>(pc->a), rhs) ? 1.0 : 0.0;
-  ++pc;
-  CEP2ASP_EXPR_NEXT();
-}
-
-op_and_fail:
-  CEP2ASP_DCHECK(sp > 0);
-  if (stack[--sp] == 0.0) return false;
-  ++pc;
   CEP2ASP_EXPR_NEXT();
 
 op_store_key_attr:
@@ -328,30 +264,6 @@ op_cmp_attr_attr_off_fail : {
 #else  // portable fallback
   for (;; ++pc) {
     switch (pc->op) {
-      case ExprOp::kLoadAttr:
-        CEP2ASP_DCHECK(pc->a < count) << "expr var out of range";
-        CEP2ASP_DCHECK(sp < kMaxStack);
-        stack[sp++] = GetAttribute(events[pc->a], static_cast<Attribute>(pc->b));
-        break;
-      case ExprOp::kLoadConst:
-        CEP2ASP_DCHECK(sp < kMaxStack);
-        stack[sp++] = const_pool[pc->imm];
-        break;
-      case ExprOp::kAddOffset:
-        CEP2ASP_DCHECK(sp > 0);
-        stack[sp - 1] += const_pool[pc->imm];
-        break;
-      case ExprOp::kCmp: {
-        CEP2ASP_DCHECK(sp >= 2);
-        const double rhs = stack[--sp];
-        const double lhs = stack[--sp];
-        stack[sp++] = EvalCmp(lhs, static_cast<CmpOp>(pc->a), rhs) ? 1.0 : 0.0;
-        break;
-      }
-      case ExprOp::kAndFail:
-        CEP2ASP_DCHECK(sp > 0);
-        if (stack[--sp] == 0.0) return false;
-        break;
       case ExprOp::kStoreKeyAttr:
         CEP2ASP_DCHECK(pc->a < count) << "expr var out of range";
         if (tuple != nullptr) {
@@ -491,13 +403,6 @@ void ExprProgram::RunBatch(Tuple* first, size_t stride_bytes, size_t count,
         break;
       }
       case ExprOp::kHalt:
-        return;
-      default:
-        // Stack-form program (tests / hand-fused): per-tuple semantics.
-        for (size_t i = 0; i < count; ++i) {
-          Tuple* t = TupleAt(base, stride_bytes, i);
-          mask[i] = static_cast<uint8_t>(Run(t));
-        }
         return;
     }
   }
@@ -667,29 +572,13 @@ void MaskCmpCols(CmpOp op, const double* lhs, const double* rhs, double offset,
 
 }  // namespace
 
-bool ExprProgram::IsColumnarExecutable() const {
-  if (!ok_) return false;
-  for (const ExprInsn& insn : code_) {
-    switch (insn.op) {
-      case ExprOp::kCmpAttrConstFail:
-      case ExprOp::kCmpAttrAttrFail:
-      case ExprOp::kCmpAttrAttrOffFail:
-      case ExprOp::kStoreKeyAttr:
-      case ExprOp::kStoreKeyConst:
-      case ExprOp::kHalt:
-        break;
-      default:
-        return false;  // stack-form opcode: row-major execution only
-    }
-  }
-  return true;
-}
-
-bool ExprProgram::RunColumnar(const ExprColumnarView& view) const {
-  if (!IsColumnarExecutable()) return false;
+void ExprProgram::RunColumnar(const ExprColumnarView& view) const {
   uint8_t* mask = view.mask;
   const size_t n = view.count;
+  if (n == 0) return;  // an empty block may carry a null mask
   std::memset(mask, 1, n);
+  if (code_.empty()) return;
+  CEP2ASP_DCHECK(ok_) << "running a failed compilation";
   for (const ExprInsn& insn : code_) {
     switch (insn.op) {
       case ExprOp::kCmpAttrConstFail: {
@@ -729,12 +618,9 @@ bool ExprProgram::RunColumnar(const ExprColumnarView& view) const {
         break;
       }
       case ExprOp::kHalt:
-        return true;
-      default:
-        return false;  // unreachable: gated by IsColumnarExecutable
+        return;
     }
   }
-  return true;
 }
 
 bool ExprProgram::Run(Tuple* tuple) const {
@@ -758,23 +644,6 @@ std::string ExprProgram::ToString() const {
     out += std::to_string(i);
     out += ": ";
     switch (insn.op) {
-      case ExprOp::kLoadAttr:
-        out += "load e" + std::to_string(insn.a) + "." +
-               AttributeName(static_cast<Attribute>(insn.b));
-        break;
-      case ExprOp::kLoadConst:
-        out += "const " + FormatDouble(const_pool_[insn.imm]);
-        break;
-      case ExprOp::kAddOffset:
-        out += "add " + FormatDouble(const_pool_[insn.imm]);
-        break;
-      case ExprOp::kCmp:
-        out += "cmp ";
-        out += CmpOpToString(static_cast<CmpOp>(insn.a));
-        break;
-      case ExprOp::kAndFail:
-        out += "and-fail";
-        break;
       case ExprOp::kStoreKeyAttr:
         out += "key := e" + std::to_string(insn.a) + "." +
                AttributeName(static_cast<Attribute>(insn.b));

@@ -10,23 +10,13 @@
 
 namespace cep2asp {
 
-/// Opcodes of the predicate/key bytecode. The machine is a tiny stack
-/// machine over doubles: comparisons push 1.0 / 0.0, the conjunction
-/// short-circuits via kAndFail, and key stores write the tuple's partition
-/// key as a side effect. Programs are straight-line (no jumps other than
-/// the fail exit), so one linear pass executes a whole fused filter→map
-/// prefix with no virtual calls and no std::function.
+/// Opcodes of the predicate/key bytecode. Every conjunction term is one
+/// instruction that halts the program with `false` when the term fails;
+/// key stores write the tuple's partition key as a side effect. Programs
+/// are straight-line (no jumps other than the fail exits), so one linear
+/// pass executes a whole fused filter→map prefix with no virtual calls, no
+/// std::function and no evaluation stack.
 enum class ExprOp : uint8_t {
-  /// push GetAttribute(events[a], Attribute(b))
-  kLoadAttr,
-  /// push const_pool[imm]
-  kLoadConst,
-  /// stack.top += const_pool[imm]  (rhs_offset of window-style terms)
-  kAddOffset,
-  /// rhs = pop, lhs = pop, push EvalCmp(lhs, CmpOp(a), rhs) ? 1.0 : 0.0
-  kCmp,
-  /// if pop == 0.0: halt returning false  (AND short-circuit)
-  kAndFail,
   /// key := int64(GetAttribute(events[a], Attribute(b))); debug builds
   /// CEP2ASP_DCHECK the cast round-trips (non-integral key attributes are
   /// a plan bug — see W213)
@@ -35,15 +25,6 @@ enum class ExprOp : uint8_t {
   kStoreKeyConst,
   /// halt returning true
   kHalt,
-
-  // --- fused term forms ----------------------------------------------------
-  // One whole conjunction term per instruction. Dispatch is the dominant
-  // interpreter cost, and every term the compiler sees is exactly
-  // load, load[, add-offset], cmp, and-fail — so the emitter folds the
-  // sequence into a single opcode (one indirect jump per term instead of
-  // four or five). The stack ops above remain the definitional semantics;
-  // Filter(..., fuse_terms=false) emits them for differential testing.
-
   /// halt returning false unless
   /// EvalCmp(attr(events[a], b), CmpOp(c), const_pool[imm])
   kCmpAttrConstFail,
@@ -54,10 +35,10 @@ enum class ExprOp : uint8_t {
   kCmpAttrAttrOffFail,
 };
 
-/// One 8-byte instruction. Operand meaning depends on the opcode: for the
-/// stack ops `a` is a variable index or CmpOp, `b` an Attribute and `imm`
-/// a pool index; the fused term forms use a/b = lhs (var, attr), c = the
-/// CmpOp, d/e = rhs (var, attr), imm = a const-pool index.
+/// One 8-byte instruction. Term opcodes use a/b = lhs (var, attr),
+/// c = the CmpOp, d/e = rhs (var, attr), imm = a const-pool index;
+/// kStoreKeyAttr uses a/b = (var, attr), kStoreKeyConst imm = a key-pool
+/// index.
 struct ExprInsn {
   ExprOp op = ExprOp::kHalt;
   uint8_t a = 0;
@@ -110,12 +91,9 @@ class ExprProgram {
 
   ExprProgram() = default;
 
-  /// Compiles a conjunction into a filter program (ends in kHalt = pass).
-  /// `fuse_terms` selects the fused one-instruction-per-term encoding
-  /// (default, what production plans run); false emits the unfused stack
-  /// sequence — same semantics, used to differential-test the base ISA.
-  static ExprProgram Filter(const Predicate& pred, VarMode mode,
-                            bool fuse_terms = true);
+  /// Compiles a conjunction into a filter program, one term instruction
+  /// per comparison, ending in kHalt (= pass).
+  static ExprProgram Filter(const Predicate& pred, VarMode mode);
 
   /// Compiles key := events[event_index].attr.
   static ExprProgram KeyByAttribute(int event_index, Attribute attr);
@@ -151,40 +129,29 @@ class ExprProgram {
   /// tuples.
   ///
   /// The point is loop interchange: instead of dispatching every
-  /// instruction per tuple, each fused term opcode runs as one tight
+  /// instruction per tuple, each term opcode runs as one tight
   /// branch-predictable loop across the whole batch, ANDing into the
   /// selection mask — the columnar execution model of vectorized query
-  /// engines. Programs containing stack-form instructions fall back to
-  /// per-tuple Run (the production compiler only emits fused terms, so
-  /// this path is tests-only).
+  /// engines.
   void RunBatch(Tuple* first, size_t stride_bytes, size_t count,
                 uint8_t* mask) const;
 
   /// Columnar execution: runs the program over SoA columns (see
-  /// ExprColumnarView). Each fused term opcode becomes one tight loop
-  /// over two contiguous double columns ANDing into the mask — unlike
-  /// RunBatch's strided tuple loads this vectorizes (explicit SSE2/AVX2
-  /// kernels when built with CEP2ASP_SIMD, auto-vectorizable scalar loops
-  /// otherwise). Comparison semantics are bit-identical to EvalCmp
-  /// including IEEE NaN ordering (every comparison but != is false).
-  ///
-  /// Only fused-form programs are columnar-executable; returns false
-  /// without touching the mask when the program contains stack-form
-  /// opcodes (callers gate on IsColumnarExecutable and fall back to the
-  /// row-major path). Returns true after writing mask[0..count) and
-  /// applying key stores to still-masked rows.
-  bool RunColumnar(const ExprColumnarView& view) const;
-
-  /// True when every instruction has a columnar kernel (fused terms, key
-  /// stores, halt) — i.e. RunColumnar will execute it. Stack-form
-  /// programs (tests / differential corpora) are not.
-  bool IsColumnarExecutable() const;
+  /// ExprColumnarView). Each term opcode becomes one tight loop over two
+  /// contiguous double columns ANDing into the mask — unlike RunBatch's
+  /// strided tuple loads this vectorizes (explicit SSE2/AVX2 kernels when
+  /// built with CEP2ASP_SIMD, auto-vectorizable scalar loops otherwise).
+  /// Comparison semantics are bit-identical to EvalCmp including IEEE NaN
+  /// ordering (every comparison but != is false). Writes mask[0..count)
+  /// and applies key stores to still-masked rows.
+  void RunColumnar(const ExprColumnarView& view) const;
 
   /// Runs the filter portion against positional events without a tuple;
   /// key stores are skipped. For tests and join-condition reuse.
   bool EvalOnEvents(const SimpleEvent* events, size_t count) const;
 
-  /// Disassembly, one instruction per line ("0: load e0.value" ...).
+  /// Disassembly, one instruction per line
+  /// ("0: fail unless e0.value < 0.5" ...).
   std::string ToString() const;
 
   // --- introspection (verifier / analysis / tooling) -----------------------
@@ -204,7 +171,7 @@ class ExprProgram {
  private:
   uint8_t InternConst(double value);
   uint8_t InternKey(int64_t value);
-  void EmitComparison(const Comparison& term, VarMode mode, bool fuse_terms);
+  void EmitComparison(const Comparison& term, VarMode mode);
   void Fail() { ok_ = false; }
 
   std::vector<ExprInsn> code_;

@@ -30,8 +30,7 @@ Status ExprVerifier::Verify(const ExprProgram& program, size_t max_events) {
 
   const size_t consts = program.const_pool().size();
   const size_t keys = program.key_pool().size();
-  size_t depth = 0;      // abstract evaluation stack depth
-  bool halted = false;   // a kHalt has been seen
+  bool halted = false;  // a kHalt has been seen
 
   for (size_t pc = 0; pc < code.size(); ++pc) {
     const ExprInsn& insn = code[pc];
@@ -44,30 +43,6 @@ Status ExprVerifier::Verify(const ExprProgram& program, size_t max_events) {
                          std::to_string(static_cast<int>(insn.op)));
     }
     switch (insn.op) {
-      case ExprOp::kLoadAttr:
-        if (insn.a >= max_events) return Bad(pc, "event operand out of range");
-        if (!ValidAttr(insn.b)) return Bad(pc, "invalid attribute slot");
-        if (depth >= kMaxStack) return Bad(pc, "stack overflow");
-        ++depth;
-        break;
-      case ExprOp::kLoadConst:
-        if (insn.imm >= consts) return Bad(pc, "const-pool index out of range");
-        if (depth >= kMaxStack) return Bad(pc, "stack overflow");
-        ++depth;
-        break;
-      case ExprOp::kAddOffset:
-        if (insn.imm >= consts) return Bad(pc, "const-pool index out of range");
-        if (depth == 0) return Bad(pc, "stack underflow");
-        break;
-      case ExprOp::kCmp:
-        if (!ValidCmp(insn.a)) return Bad(pc, "invalid comparator");
-        if (depth < 2) return Bad(pc, "stack underflow");
-        --depth;  // pop 2, push 1
-        break;
-      case ExprOp::kAndFail:
-        if (depth == 0) return Bad(pc, "stack underflow");
-        --depth;
-        break;
       case ExprOp::kStoreKeyAttr:
         if (insn.a >= max_events) return Bad(pc, "event operand out of range");
         if (!ValidAttr(insn.b)) return Bad(pc, "invalid attribute slot");
@@ -76,9 +51,6 @@ Status ExprVerifier::Verify(const ExprProgram& program, size_t max_events) {
         if (insn.imm >= keys) return Bad(pc, "key-pool index out of range");
         break;
       case ExprOp::kHalt:
-        if (depth != 0) {
-          return Bad(pc, "non-empty stack at kHalt (dropped value)");
-        }
         halted = true;
         break;
       case ExprOp::kCmpAttrConstFail:
@@ -111,27 +83,6 @@ Status ExprVerifier::Verify(const ExprProgram& program, size_t max_events) {
   if (!halted) {
     return Status::InvalidArgument(
         "expr program: falls through past the last instruction (no kHalt)");
-  }
-  return Status::OK();
-}
-
-Status ExprVerifier::VerifyColumnar(const ExprProgram& program,
-                                    size_t max_events) {
-  Status base = Verify(program, max_events);
-  if (!base.ok()) return base;
-  const std::vector<ExprInsn>& code = program.code();
-  for (size_t pc = 0; pc < code.size(); ++pc) {
-    switch (code[pc].op) {
-      case ExprOp::kCmpAttrConstFail:
-      case ExprOp::kCmpAttrAttrFail:
-      case ExprOp::kCmpAttrAttrOffFail:
-      case ExprOp::kStoreKeyAttr:
-      case ExprOp::kStoreKeyConst:
-      case ExprOp::kHalt:
-        break;
-      default:
-        return Bad(pc, "stack-form opcode is not columnar-executable");
-    }
   }
   return Status::OK();
 }

@@ -24,42 +24,24 @@ namespace cep2asp {
 ///    through a decoder bug);
 ///  - event operands are < `max_events` (the declared schema capacity),
 ///    Attribute operands are valid slots, CmpOp operands are valid
-///    comparators, and pool indices are within the respective pool;
-///  - the abstract evaluation stack never underflows, never exceeds the
-///    interpreter's fixed kMaxStack, and is exactly empty at kHalt
-///    (a non-empty stack at halt means a comparison result was computed
-///    and silently dropped — always an emitter bug).
+///    comparators, and pool indices are within the respective pool.
 ///
-/// Both encodings are covered: fused term opcodes are stack-neutral,
-/// stack-form opcodes are modeled push/pop exactly as the interpreter
-/// executes them. Straight-line code means a single linear pass verifies
-/// all paths (the only branch — kAndFail / fused-fail exits — leaves the
-/// program, so every instruction has exactly one in-program successor).
+/// The same bounds cover both execution modes of a program. Row-major
+/// (Run / RunBatch) reads `events[var]`; columnar (RunColumnar) reads
+/// column `var * kNumEventAttrs + attr` of an ExprColumnarView, and an
+/// event operand < max_events with an attribute slot <= kAuxTs bounds
+/// that index below the view's `max_events * kNumEventAttrs` columns.
+/// Straight-line code means a single linear pass verifies all paths (the
+/// only branches — the term fail exits — leave the program, so every
+/// instruction has exactly one in-program successor).
 class ExprVerifier {
  public:
-  /// Interpreter stack capacity the verifier checks against; mirrors the
-  /// constant in expr_program.cc.
-  static constexpr size_t kMaxStack = 8;
-
   /// Verifies `program` against a schema of `max_events` events per tuple.
   /// Translator-emitted programs run in VarMode::kBroadcast where every
   /// operand was already resolved to event 0, so they verify with
   /// `max_events == 1`; positional programs pass the pattern arity.
   /// Returns OK or an InvalidArgument naming the offending instruction.
   static Status Verify(const ExprProgram& program, size_t max_events);
-
-  /// Verifies `program` for the columnar execution mode (RunColumnar
-  /// against an ExprColumnarView of `max_events` event slots): everything
-  /// Verify checks, plus every opcode must have a columnar kernel —
-  /// stack-form instructions are rejected by name. The shared operand
-  /// bounds double as column bounds: an event operand < max_events and an
-  /// attribute slot <= kAuxTs together bound the column index
-  /// `event * kNumEventAttrs + attr` below the view's
-  /// `max_events * kNumEventAttrs` columns, and RunColumnar's mask is
-  /// always written for exactly `count` rows (its width invariant needs
-  /// no per-instruction check because fused terms never index the mask
-  /// beyond the row loop).
-  static Status VerifyColumnar(const ExprProgram& program, size_t max_events);
 };
 
 }  // namespace cep2asp

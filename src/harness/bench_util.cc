@@ -115,6 +115,12 @@ Status ResultTable::WriteCsv(const std::string& file_stem) const {
 
 std::string FormatTps(double tps) { return HumanCount(tps) + " tpl/s"; }
 
+void DisableChaining(JobGraph* graph) {
+  for (NodeId id = 0; id < graph->num_nodes(); ++id) {
+    if (!graph->node(id).is_source()) (void)graph->SetChaining(id, false);
+  }
+}
+
 std::vector<std::string> StandardColumns() {
   return {"scenario", "approach", "throughput", "latency(mean)",
           "latency(p99)", "matches", "peak state", "status"};

@@ -61,6 +61,11 @@ class ResultTable {
 /// Renders throughput as "123.4k" style.
 std::string FormatTps(double tps);
 
+/// Opts every operator node out of chaining (JobGraph::SetChaining), so
+/// each operator runs as its own subtask behind a real exchange channel —
+/// the unchained side of chain A/Bs and tests.
+void DisableChaining(JobGraph* graph);
+
 /// Formats a full ApproachResult row (approach, tput, latency, matches,
 /// state) for the standard table layout.
 std::vector<std::string> ResultRow(const std::string& scenario,

@@ -309,11 +309,12 @@ class SpscChannel : public Channel {
 };
 
 /// Builds the right channel for an input fed by `num_producers` upstream
-/// threads. `capacity_messages` bounds in-flight messages (backpressure).
+/// producers: the lock-free SPSC ring for physical fan-in 1, the mutex
+/// MPMC queue otherwise. `capacity_messages` bounds in-flight messages
+/// (backpressure).
 inline std::unique_ptr<Channel> MakeChannel(int num_producers,
-                                            size_t capacity_messages,
-                                            bool enable_spsc) {
-  if (enable_spsc && num_producers == 1) {
+                                            size_t capacity_messages) {
+  if (num_producers == 1) {
     return std::make_unique<SpscChannel>(capacity_messages);
   }
   return std::make_unique<MpmcChannel>(capacity_messages);

@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "common/logging.h"
-#include "runtime/job_graph.h"
 
 namespace cep2asp {
 
@@ -178,76 +177,6 @@ void ColumnarBatch::StableSortByEventTime(size_t from) {
   ApplyPermutation(&keys_, from, perm);
   ApplyPermutation(&event_times_, from, perm);
   ApplyPermutation(&mask_, from, perm);
-}
-
-std::vector<std::unique_ptr<ColumnarBatch>> ColumnarBatch::PartitionByKey(
-    int parallelism) const {
-  const size_t p = static_cast<size_t>(parallelism < 1 ? 1 : parallelism);
-  std::vector<std::unique_ptr<ColumnarBatch>> parts(p);
-  if (rows_ == 0) return parts;
-  // Route the whole key column batch-wise (the SIMD splitmix64 kernel),
-  // then gather column by column: each bucket receives its rows in stream
-  // order, so per-subtask sequences match the row-at-a-time scatter
-  // exactly.
-  std::vector<int32_t> target(rows_);
-  KeyToSubtaskBatch(keys_.data(), rows_, static_cast<int>(p), target.data());
-  // Per-row destination slot within its bucket, so every column pass is a
-  // branch-light scatter into pre-sized destination columns — no
-  // per-element capacity checks or size bookkeeping.
-  std::vector<uint32_t> pos(rows_);
-  std::vector<size_t> counts(p, 0);
-  for (size_t i = 0; i < rows_; ++i) {
-    if (mask_[i]) {
-      pos[i] =
-          static_cast<uint32_t>(counts[static_cast<size_t>(target[i])]++);
-    }
-  }
-  for (size_t s = 0; s < p; ++s) {
-    if (counts[s] == 0) continue;
-    parts[s] = std::make_unique<ColumnarBatch>(num_slots_);
-    for (std::vector<double>& col : parts[s]->attr_cols_) col.resize(counts[s]);
-    for (std::vector<EventTypeId>& col : parts[s]->type_cols_) {
-      col.resize(counts[s]);
-    }
-    for (std::vector<Timestamp>& col : parts[s]->create_ts_cols_) {
-      col.resize(counts[s]);
-    }
-    parts[s]->keys_.resize(counts[s]);
-    parts[s]->event_times_.resize(counts[s]);
-    parts[s]->mask_.assign(counts[s], 1);
-    parts[s]->rows_ = counts[s];
-  }
-  std::vector<void*> dst(p);
-  auto scatter = [&](auto dst_col_of, const auto& src_col) {
-    using T = typename std::decay_t<decltype(src_col)>::value_type;
-    for (size_t s = 0; s < p; ++s) {
-      dst[s] = parts[s] ? dst_col_of(*parts[s]).data() : nullptr;
-    }
-    for (size_t i = 0; i < rows_; ++i) {
-      if (!mask_[i]) continue;
-      static_cast<T*>(dst[static_cast<size_t>(target[i])])[pos[i]] =
-          src_col[i];
-    }
-  };
-  for (size_t c = 0; c < attr_cols_.size(); ++c) {
-    scatter([c](ColumnarBatch& b) -> std::vector<double>& {
-      return b.attr_cols_[c];
-    }, attr_cols_[c]);
-  }
-  for (size_t s = 0; s < num_slots_; ++s) {
-    scatter([s](ColumnarBatch& b) -> std::vector<EventTypeId>& {
-      return b.type_cols_[s];
-    }, type_cols_[s]);
-    scatter([s](ColumnarBatch& b) -> std::vector<Timestamp>& {
-      return b.create_ts_cols_[s];
-    }, create_ts_cols_[s]);
-  }
-  scatter([](ColumnarBatch& b) -> std::vector<int64_t>& { return b.keys_; },
-          keys_);
-  scatter([](ColumnarBatch& b) -> std::vector<Timestamp>& {
-    return b.event_times_;
-  }, event_times_);
-  return parts;
 }
 
 size_t ColumnarBatch::Compact() {

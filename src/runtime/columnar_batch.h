@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "event/event.h"
@@ -73,15 +72,6 @@ class ColumnarBatch {
   /// permutation across all columns. Used by window stores when parallel
   /// producers interleaved their (per-producer ordered) streams.
   void StableSortByEventTime(size_t from);
-
-  /// Splits the selected rows into `parallelism` sub-blocks by the routing
-  /// of the exact int64 key column — bucket s receives, in order, every
-  /// row with KeyToSubtask(key, parallelism) == s (computed batch-wise,
-  /// SIMD under CEP2ASP_SIMD). Empty buckets stay null. This is how a hash
-  /// edge ships P whole blocks instead of scattering rows one message at a
-  /// time.
-  std::vector<std::unique_ptr<ColumnarBatch>> PartitionByKey(
-      int parallelism) const;
 
   /// Drops every row whose mask byte is 0, keeping the survivors' order,
   /// and re-selects them. Returns the surviving row count.

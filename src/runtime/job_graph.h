@@ -38,14 +38,6 @@ const char* PartitionModeToString(PartitionMode mode);
 /// not all land on neighbouring subtasks modulo small parallelism.
 int KeyToSubtask(int64_t key, int parallelism);
 
-/// Batch form over a contiguous key column, bit-identical to calling
-/// KeyToSubtask per key: the splitmix64 finalizer runs as a SIMD kernel
-/// under CEP2ASP_SIMD (SSE2 baseline, runtime-dispatched AVX2) and the
-/// modulo stays scalar either way. This is the routing step of
-/// ColumnarBatch::PartitionByKey, where one block splits into P blocks.
-void KeyToSubtaskBatch(const int64_t* keys, size_t count, int parallelism,
-                       int32_t* out);
-
 /// \brief Directed acyclic dataflow graph: sources -> operators -> sinks
 /// (paper §2.3: ASPSs use directed graphs as processing model).
 ///
@@ -184,7 +176,6 @@ enum class ChainBreak : uint8_t {
   kChained,
   kNotForward,           // hash/broadcast edges always cross an exchange
   kSourceProducer,       // sources keep their own ingestion thread
-  kDisabled,             // chaining switched off executor-wide
   kProducerOptedOut,     // producer's chaining knob is off
   kConsumerOptedOut,     // consumer's chaining knob is off
   kFanOut,               // producer has more than one out-edge
@@ -241,14 +232,12 @@ struct ChainLayout {
 ///   - the edge's PartitionMode is kForward (hash/broadcast cross a real
 ///     exchange by definition),
 ///   - the producer is an operator (sources keep their ingestion thread),
-///   - `chaining_enabled` and both endpoints' chaining knobs are on,
+///   - both endpoints' chaining knobs are on (JobGraph::SetChaining is the
+///     per-node opt-out),
 ///   - the producer has exactly one out-edge and the consumer exactly one
 ///     in-edge (no fan-out/fan-in inside a chain),
 ///   - both nodes have equal parallelism (subtask i hands to subtask i).
-/// With `chaining_enabled` false every operator is its own chain, which
-/// reproduces the historical one-thread-per-subtask layout.
-ChainLayout ComputeChainLayout(const JobGraph& graph,
-                               bool chaining_enabled = true);
+ChainLayout ComputeChainLayout(const JobGraph& graph);
 
 }  // namespace cep2asp
 

@@ -259,6 +259,15 @@ class Source {
   virtual int64_t PacingDeadlineNanos() const { return 0; }
 };
 
+/// Pacing gaps up to this long are not worth a wait: a tuple due within
+/// the slack is emitted now. Cooperative executors park a source task on
+/// the scheduler timer only for longer gaps (a park costs a state-machine
+/// round-trip plus a condvar wait), and paced sources do not sleep inside
+/// Next() for shorter ones (the sleep would overshoot by the OS timer
+/// granularity and stall the worker). A source thus runs at most this far
+/// ahead of its schedule.
+constexpr int64_t kPacingSlackNanos = 100'000;
+
 }  // namespace cep2asp
 
 #endif  // CEP2ASP_RUNTIME_OPERATOR_H_

@@ -7,16 +7,6 @@
 
 namespace cep2asp {
 
-namespace {
-
-/// Pacing remainders shorter than this are absorbed by a micro-sleep
-/// inside Source::Next instead of a scheduler timer park: parking costs a
-/// state-machine round-trip plus a condvar wait, which is not worth it
-/// under ~0.1 ms.
-constexpr int64_t kPacingSlackNanos = 100'000;
-
-}  // namespace
-
 PhysicalLayout::PhysicalLayout(const JobGraph& graph,
                                const ChainLayout& chains) {
   const int n = graph.num_nodes();
@@ -42,7 +32,7 @@ RoutingCollector::RoutingCollector(const JobGraph* graph, NodeId node,
                                    int subtask, const PhysicalLayout* layout,
                                    std::vector<NodeChannels>* channels,
                                    size_t batch_size, bool cooperative,
-                                   bool enable_columnar, bool columnar_hash)
+                                   bool enable_columnar)
     : batch_size_(std::max<size_t>(1, batch_size)),
       cur_batch_(std::max<size_t>(1, batch_size)),
       cooperative_(cooperative) {
@@ -64,23 +54,20 @@ RoutingCollector::RoutingCollector(const JobGraph* graph, NodeId node,
       // else: round-robin rebalance via rr_cursor.
     }
     // SoA negotiation, per edge: a forward edge into a columnar-capable
-    // consumer carries blocks whole; a hash edge into one splits each
-    // block into per-subtask sub-blocks along the key column (a
-    // parallelism-1 hash consumer degenerates to whole-block forward).
-    // Broadcast edges and row-major consumers keep the row-major path.
+    // consumer carries blocks whole, and so does a hash edge into a
+    // parallelism-1 one (every key routes to subtask 0). Hash edges into
+    // parallel consumers, broadcast edges and row-major consumers keep the
+    // row-major path.
     if (enable_columnar &&
         layout->edge_slot_base[static_cast<size_t>(node)][i] >= 0) {
       const JobGraph::Node& consumer = graph->node(edge.to);
       if (consumer.op != nullptr && consumer.op->Traits().columnar_capable) {
         if (edge.partition == PartitionMode::kForward) {
-          out.columnar = ColumnarMode::kWhole;
-        } else if (edge.partition == PartitionMode::kHash) {
-          if (out.consumer_parallelism == 1) {
-            out.columnar = ColumnarMode::kWhole;
-            out.fixed_target = 0;
-          } else if (columnar_hash) {
-            out.columnar = ColumnarMode::kPartition;
-          }
+          out.whole_blocks = true;
+        } else if (edge.partition == PartitionMode::kHash &&
+                   out.consumer_parallelism == 1) {
+          out.whole_blocks = true;
+          out.fixed_target = 0;
         }
       }
     }
@@ -107,7 +94,7 @@ RoutingCollector::RoutingCollector(const JobGraph* graph, NodeId node,
   // and a scatter for the same rows.
   columnar_ok_ = !edges_.empty();
   for (const OutEdge& e : edges_) {
-    if (e.columnar == ColumnarMode::kScatter) columnar_ok_ = false;
+    if (!e.whole_blocks) columnar_ok_ = false;
   }
 }
 
@@ -177,22 +164,6 @@ void RoutingCollector::EmitBatch(MessageBatch* batch) {
 
 void RoutingCollector::RouteBlock(OutEdge& e,
                                   std::unique_ptr<ColumnarBatch> block) {
-  if (e.columnar == ColumnarMode::kPartition) {
-    // Hash edge: split along the key column and ship one sub-block per
-    // non-empty bucket — P envelopes instead of rows() messages, with
-    // per-subtask row order identical to the row-at-a-time scatter.
-    std::vector<std::unique_ptr<ColumnarBatch>> parts =
-        block->PartitionByKey(e.consumer_parallelism);
-    for (size_t s = 0; s < parts.size(); ++s) {
-      if (parts[s] == nullptr) continue;
-      const int t = e.first_target + static_cast<int>(s);
-      Target& target = targets_[static_cast<size_t>(t)];
-      target.pending.push_back(
-          Message::Columnar(e.port, std::move(parts[s]), e.slot));
-      if (!target.stuck) FlushTarget(t);
-    }
-    return;
-  }
   const int sub =
       e.fixed_target >= 0
           ? e.fixed_target
@@ -342,8 +313,7 @@ SourceTask::SourceTask(const TaskContext* ctx, NodeId node, Source* source)
       source_(source),
       label_("src:" + source->name()),
       router_(ctx->graph, node, /*subtask=*/0, ctx->layout, ctx->channels,
-              ctx->batch_size, /*cooperative=*/true, ctx->enable_columnar,
-              ctx->columnar_hash),
+              ctx->batch_size, /*cooperative=*/true, ctx->enable_columnar),
       cur_batch_(std::max<size_t>(1, ctx->batch_size)) {
   staged_.reserve(cur_batch_);
 }
@@ -486,7 +456,7 @@ ChainTask::ChainTask(const TaskContext* ctx,
       ops_(std::move(ops)),
       router_(ctx->graph, chain_nodes->back(), subtask, ctx->layout,
               ctx->channels, ctx->batch_size, /*cooperative=*/true,
-              ctx->enable_columnar, ctx->columnar_hash),
+              ctx->enable_columnar),
       aligner_(
           ctx->layout->num_slots[static_cast<size_t>(chain_nodes->front())]),
       cur_batch_(std::max<size_t>(1, ctx->batch_size)) {

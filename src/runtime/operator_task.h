@@ -70,18 +70,16 @@ struct PhysicalLayout {
 class RoutingCollector : public Collector {
  public:
   /// `enable_columnar` turns on SoA transfer negotiation, per out-edge:
-  /// forward edges into columnar-capable consumers ship whole column
-  /// blocks; hash edges into columnar-capable consumers split each block
-  /// into P sub-blocks by key column (ColumnarBatch::PartitionByKey) when
-  /// `columnar_hash` also holds; broadcast edges and row-major consumers
-  /// stay row-major. Blocks travel only when EVERY out-edge can carry
-  /// them (fan-out copies the block per edge, moving the last), otherwise
-  /// EmitColumnar scatters row by row.
+  /// forward edges and parallelism-1 hash edges into columnar-capable
+  /// consumers ship whole column blocks; hash edges into parallel
+  /// consumers, broadcast edges and row-major consumers stay row-major.
+  /// Blocks travel only when EVERY out-edge can carry them (fan-out
+  /// copies the block per edge, moving the last), otherwise EmitColumnar
+  /// scatters row by row.
   RoutingCollector(const JobGraph* graph, NodeId node, int subtask,
                    const PhysicalLayout* layout,
                    std::vector<NodeChannels>* channels, size_t batch_size,
-                   bool cooperative, bool enable_columnar = false,
-                   bool columnar_hash = true);
+                   bool cooperative, bool enable_columnar = false);
 
   void Emit(Tuple tuple) override;
 
@@ -93,11 +91,11 @@ class RoutingCollector : public Collector {
   void EmitBatch(MessageBatch* batch) override;
 
   /// Columnar fast path: when every out-edge negotiated columnar transfer
-  /// (see ctor), the block travels as kColumnar envelopes — whole to a
-  /// fixed/round-robin target on forward edges, split into per-subtask
-  /// sub-blocks on hash edges. Ineligible shapes (broadcast edges,
-  /// row-major consumers) scatter row by row via the base-class shim,
-  /// with the scattered rows attributed to the receiving channels.
+  /// (see ctor), the block travels as one kColumnar envelope per edge, to
+  /// a fixed or round-robin target. Ineligible shapes (parallel hash
+  /// edges, broadcast edges, row-major consumers) scatter row by row via
+  /// the base-class shim, with the scattered rows attributed to the
+  /// receiving channels.
   void EmitColumnar(std::unique_ptr<ColumnarBatch> block) override;
 
   /// True when EmitColumnar ships blocks whole instead of scattering;
@@ -135,17 +133,12 @@ class RoutingCollector : public Collector {
     bool push_started = false;
   };
 
-  /// How one out-edge carries a column block when all edges are eligible.
-  enum class ColumnarMode : uint8_t {
-    kScatter,    // row-by-row (broadcast, or row-major consumer)
-    kWhole,      // forward: one envelope to the routed target
-    kPartition,  // hash: PartitionByKey splits into per-subtask envelopes
-  };
-
   struct OutEdge {
     int port = 0;
     PartitionMode mode = PartitionMode::kForward;
-    ColumnarMode columnar = ColumnarMode::kScatter;
+    /// The edge carries column blocks whole, one envelope to the routed
+    /// target; otherwise blocks reach it through the scatter shim.
+    bool whole_blocks = false;
     int consumer_parallelism = 1;
     int slot = 0;           // consumer-side slot this producer subtask owns
     int fixed_target = -1;  // forward short-circuit; -1 = dynamic routing
@@ -235,9 +228,6 @@ struct TaskContext {
   int watermark_interval = 256;
   /// Negotiate SoA (columnar) transfer on eligible edges.
   bool enable_columnar = false;
-  /// Allow hash edges to carry blocks via PartitionByKey (the A/B switch
-  /// of the columnar-hash invariance axis; scatter fallback when off).
-  bool columnar_hash = true;
   Clock* clock = nullptr;
   InvariantChecker* invariants = nullptr;  // null outside debug wiring
   std::function<void(const Status&)> record_error;

@@ -31,12 +31,15 @@ class RateLimitedSource : public Source {
 
   bool Next(Tuple* tuple) override {
     if (emitted_ == 0) start_nanos_ = clock_->NowNanos();
-    // Busy-wait-free pacing: sleep until this tuple's scheduled slot.
-    int64_t due = start_nanos_ +
-                  static_cast<int64_t>(nanos_per_tuple_ *
-                                       static_cast<double>(emitted_));
-    int64_t now = clock_->NowNanos();
-    if (now < due) {
+    // Busy-wait-free pacing: sleep until this tuple's scheduled slot,
+    // unless it is due within the pacing slack (see kPacingSlackNanos) —
+    // the schedule stays anchored at the first tuple, so emitting a
+    // little early never accumulates drift.
+    const int64_t due = start_nanos_ +
+                        static_cast<int64_t>(nanos_per_tuple_ *
+                                             static_cast<double>(emitted_));
+    const int64_t now = clock_->NowNanos();
+    if (due - now > kPacingSlackNanos) {
       std::this_thread::sleep_for(std::chrono::nanoseconds(due - now));
     }
     if (!inner_->Next(tuple)) return false;

@@ -29,24 +29,12 @@ struct ThreadedExecutorOptions {
   /// bit-for-bit (every message is its own batch).
   size_t batch_size = 64;
 
-  /// Use the lock-free SPSC ring for single-producer inputs; the mutex
-  /// MPMC queue remains the fallback for fan-in > 1 (and for all inputs
-  /// when disabled). Off is only interesting for ablation benchmarks.
-  bool enable_spsc = true;
-
   /// Latency bound for source-side batching: when filling the previous
   /// batch took longer than this, the source halves its staging size (down
   /// to 1) so slow/rate-limited sources do not sit on tuples; fast sources
   /// grow back to `batch_size`. 0 disables the adaptation (always stage
   /// full batches).
   Timestamp source_flush_timeout_millis = 2;
-
-  /// Fuse forward-edge operator chains into single subtasks (see
-  /// ComputeChainLayout for the chain rules). Off reproduces the
-  /// historical one-thread-per-(node, subtask) layout with a real exchange
-  /// channel on every edge; only interesting for A/B benchmarks and
-  /// debugging.
-  bool enable_chaining = true;
 
   /// Run (chain, subtask) units as cooperative tasks on a fixed worker
   /// pool (TaskScheduler) instead of one OS thread each. Parallelism then
@@ -65,20 +53,14 @@ struct ThreadedExecutorOptions {
   /// smaller quanta interleave co-scheduled tasks more finely.
   int quantum_batches = 8;
 
-  /// Negotiate columnar (SoA) transfer per edge: producers with a single
-  /// forward-mode edge into a columnar-capable consumer gather staged rows
-  /// into ColumnarBatch blocks that travel as one channel envelope and run
-  /// the consumer's compiled predicate column-at-a-time; every other edge
-  /// — and every row-major operator, via transparent gather/scatter shims
-  /// — behaves exactly as before. Off restores the pure row-major paths
-  /// for A/B runs.
+  /// Negotiate columnar (SoA) transfer per edge: forward edges and
+  /// parallelism-1 hash edges into a columnar-capable consumer carry
+  /// ColumnarBatch blocks as one channel envelope, and the consumer runs
+  /// its compiled predicate column-at-a-time; every other edge — hash
+  /// edges into parallel consumers included — and every row-major
+  /// operator go through transparent gather/scatter shims. Off restores
+  /// the pure row-major paths for A/B runs.
   bool enable_columnar = true;
-
-  /// With enable_columnar: allow hash edges into columnar-capable
-  /// consumers to carry blocks, split per subtask along the key column
-  /// (ColumnarBatch::PartitionByKey). Off makes hash edges scatter rows
-  /// individually as before PR 10 — the columnar-hash A/B axis.
-  bool columnar_hash_partition = true;
 
   Clock* clock = nullptr;
 };
@@ -102,8 +84,8 @@ struct ThreadedExecutorOptions {
 /// partitioning. With parallelism 1 everywhere this reduces to the
 /// historical one-thread-per-node behavior.
 ///
-/// Operator chaining (on by default) collapses runs of fused forward
-/// edges into one subtask per chain: tuples inside a chain are handed to
+/// Operator chaining collapses runs of fused forward edges into one
+/// subtask per chain (JobGraph::SetChaining opts a node out): tuples inside a chain are handed to
 /// the next operator's Process directly via a ChainedCollector — no
 /// MessageBatch, no queue, no copy — and only chain-boundary edges get
 /// real exchange channels. Watermarks and Finish propagate through the
@@ -117,8 +99,7 @@ struct ThreadedExecutorOptions {
 /// ride a lock-free SPSC ring, the rest fall back to the mutex queue. The
 /// single-threaded PipelineExecutor remains the deterministic logical
 /// reference (it ignores parallelism); correctness tests assert both
-/// produce identical match sets at every parallelism level, chain on and
-/// off.
+/// produce identical match sets at every parallelism level.
 ///
 /// By default (use_task_scheduler) the physical units do not own OS
 /// threads: each source and each (chain, subtask) becomes a cooperative

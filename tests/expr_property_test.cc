@@ -111,12 +111,6 @@ TEST(ExprPropertyTest, PositionalProgramsMatchInterpreter) {
     const ExprProgram program =
         ExprProgram::Filter(pred, ExprProgram::VarMode::kPositional);
     ASSERT_TRUE(program.ok()) << pred.ToString();
-    // The unfused stack encoding (kLoadAttr/kLoadConst/kAddOffset/kCmp/
-    // kAndFail) must agree with the fused term opcodes the production
-    // compiler emits.
-    const ExprProgram unfused = ExprProgram::Filter(
-        pred, ExprProgram::VarMode::kPositional, /*fuse_terms=*/false);
-    ASSERT_TRUE(unfused.ok()) << pred.ToString();
     for (int sample = 0; sample < 40; ++sample) {
       std::vector<SimpleEvent> events;
       for (int i = 0; i < arity; ++i) {
@@ -127,9 +121,6 @@ TEST(ExprPropertyTest, PositionalProgramsMatchInterpreter) {
       EXPECT_EQ(program.EvalOnEvents(events.data(), events.size()),
                 interpreted)
           << pred.ToString() << "\n" << program.ToString();
-      EXPECT_EQ(unfused.EvalOnEvents(events.data(), events.size()),
-                interpreted)
-          << pred.ToString() << "\n" << unfused.ToString();
     }
   }
 }

@@ -44,19 +44,17 @@ TEST(ExprVerifierTest, EmitterFilterProgramsVerify) {
   pred.Add(Comparison::AttrAttr({1, Attribute::kValue}, CmpOp::kGt,
                                 {2, Attribute::kValue}, 3.0));
 
-  for (const bool fuse : {true, false}) {
-    const ExprProgram positional =
-        ExprProgram::Filter(pred, ExprProgram::VarMode::kPositional, fuse);
-    ASSERT_TRUE(positional.ok());
-    EXPECT_TRUE(ExprVerifier::Verify(positional, 3).ok())
-        << (fuse ? "fused" : "unfused") << ":\n" << positional.ToString();
+  const ExprProgram positional =
+      ExprProgram::Filter(pred, ExprProgram::VarMode::kPositional);
+  ASSERT_TRUE(positional.ok());
+  EXPECT_TRUE(ExprVerifier::Verify(positional, 3).ok())
+      << positional.ToString();
 
-    const ExprProgram broadcast =
-        ExprProgram::Filter(pred, ExprProgram::VarMode::kBroadcast, fuse);
-    ASSERT_TRUE(broadcast.ok());
-    // Broadcast resolves every variable to event 0, so one event suffices.
-    EXPECT_TRUE(ExprVerifier::Verify(broadcast, 1).ok());
-  }
+  const ExprProgram broadcast =
+      ExprProgram::Filter(pred, ExprProgram::VarMode::kBroadcast);
+  ASSERT_TRUE(broadcast.ok());
+  // Broadcast resolves every variable to event 0, so one event suffices.
+  EXPECT_TRUE(ExprVerifier::Verify(broadcast, 1).ok());
 }
 
 TEST(ExprVerifierTest, EmitterKeyAndFusedProgramsVerify) {
@@ -76,8 +74,8 @@ TEST(ExprVerifierTest, EmitterKeyAndFusedProgramsVerify) {
   EXPECT_TRUE(ExprVerifier::Verify(fused, 1).ok()) << fused.ToString();
 }
 
-// Property: any predicate the builder can express compiles (fused and
-// unfused, both variable modes) to a program the verifier accepts.
+// Property: any predicate Predicate::Add can express compiles (both variable
+// modes) to a program the verifier accepts.
 TEST(ExprVerifierTest, RandomizedEmitterProgramsVerify) {
   std::mt19937_64 rng(20260808);
   std::uniform_int_distribution<int> var_dist(0, 3);
@@ -106,18 +104,16 @@ TEST(ExprVerifierTest, RandomizedEmitterProgramsVerify) {
         pred.Add(Comparison::AttrConst(lhs, op, const_dist(rng)));
       }
     }
-    for (const bool fuse : {true, false}) {
-      const ExprProgram pos =
-          ExprProgram::Filter(pred, ExprProgram::VarMode::kPositional, fuse);
-      ASSERT_TRUE(pos.ok());
-      EXPECT_TRUE(ExprVerifier::Verify(pos, 4).ok())
-          << "trial " << trial << ":\n" << pos.ToString();
-      const ExprProgram bcast =
-          ExprProgram::Filter(pred, ExprProgram::VarMode::kBroadcast, fuse);
-      ASSERT_TRUE(bcast.ok());
-      EXPECT_TRUE(ExprVerifier::Verify(bcast, 1).ok())
-          << "trial " << trial << ":\n" << bcast.ToString();
-    }
+    const ExprProgram pos =
+        ExprProgram::Filter(pred, ExprProgram::VarMode::kPositional);
+    ASSERT_TRUE(pos.ok());
+    EXPECT_TRUE(ExprVerifier::Verify(pos, 4).ok())
+        << "trial " << trial << ":\n" << pos.ToString();
+    const ExprProgram bcast =
+        ExprProgram::Filter(pred, ExprProgram::VarMode::kBroadcast);
+    ASSERT_TRUE(bcast.ok());
+    EXPECT_TRUE(ExprVerifier::Verify(bcast, 1).ok())
+        << "trial " << trial << ":\n" << bcast.ToString();
   }
 }
 
@@ -142,7 +138,11 @@ TEST(ExprVerifierTest, RejectsTruncatedProgram) {
 
 TEST(ExprVerifierTest, RejectsCodeAfterHalt) {
   const ExprProgram mutant = ExprProgram::FromRaw(
-      {Halt(), Raw(ExprOp::kLoadConst)}, {1.0}, {});
+      {Halt(), Raw(ExprOp::kCmpAttrConstFail, 0,
+                   static_cast<uint8_t>(Attribute::kValue),
+                   static_cast<uint8_t>(CmpOp::kLt), 0, 0, 0),
+       Halt()},
+      {1.0}, {});
   EXPECT_FALSE(ExprVerifier::Verify(mutant, 1).ok());
 }
 
@@ -167,9 +167,16 @@ TEST(ExprVerifierTest, RejectsEventOperandOutOfRange) {
 
 TEST(ExprVerifierTest, RejectsBadAttributeAndBadCmp) {
   const ExprProgram bad_attr = ExprProgram::FromRaw(
-      {Raw(ExprOp::kLoadAttr, 0, /*b=*/17), Raw(ExprOp::kAndFail), Halt()},
-      {}, {});
+      {Raw(ExprOp::kStoreKeyAttr, 0, /*b=*/17), Halt()}, {}, {});
   EXPECT_FALSE(ExprVerifier::Verify(bad_attr, 1).ok());
+
+  const ExprProgram bad_rhs_attr = ExprProgram::FromRaw(
+      {Raw(ExprOp::kCmpAttrAttrFail, 0,
+           static_cast<uint8_t>(Attribute::kValue),
+           static_cast<uint8_t>(CmpOp::kLt), 0, /*e=*/17, 0),
+       Halt()},
+      {}, {});
+  EXPECT_FALSE(ExprVerifier::Verify(bad_rhs_attr, 1).ok());
 
   const ExprProgram bad_cmp = ExprProgram::FromRaw(
       {Raw(ExprOp::kCmpAttrConstFail, 0,
@@ -181,39 +188,26 @@ TEST(ExprVerifierTest, RejectsBadAttributeAndBadCmp) {
 
 TEST(ExprVerifierTest, RejectsPoolIndexOutOfRange) {
   const ExprProgram bad_const = ExprProgram::FromRaw(
-      {Raw(ExprOp::kLoadConst, 0, 0, 0, 0, 0, /*imm=*/3),
-       Raw(ExprOp::kAndFail), Halt()},
+      {Raw(ExprOp::kCmpAttrConstFail, 0,
+           static_cast<uint8_t>(Attribute::kValue),
+           static_cast<uint8_t>(CmpOp::kLt), 0, 0, /*imm=*/3),
+       Halt()},
       {1.0}, {});
   EXPECT_FALSE(ExprVerifier::Verify(bad_const, 1).ok());
+
+  const ExprProgram bad_offset = ExprProgram::FromRaw(
+      {Raw(ExprOp::kCmpAttrAttrOffFail, 0,
+           static_cast<uint8_t>(Attribute::kValue),
+           static_cast<uint8_t>(CmpOp::kLt), 0,
+           static_cast<uint8_t>(Attribute::kValue), /*imm=*/1),
+       Halt()},
+      {1.0}, {});
+  EXPECT_FALSE(ExprVerifier::Verify(bad_offset, 1).ok());
 
   const ExprProgram bad_key = ExprProgram::FromRaw(
       {Raw(ExprOp::kStoreKeyConst, 0, 0, 0, 0, 0, /*imm=*/0), Halt()}, {},
       {});
   EXPECT_FALSE(ExprVerifier::Verify(bad_key, 1).ok());
-}
-
-TEST(ExprVerifierTest, RejectsStackUnderflowAndOverflow) {
-  // kCmp needs two operands; an empty stack underflows.
-  const ExprProgram underflow = ExprProgram::FromRaw(
-      {Raw(ExprOp::kCmp, static_cast<uint8_t>(CmpOp::kLt)), Halt()}, {}, {});
-  EXPECT_FALSE(ExprVerifier::Verify(underflow, 1).ok());
-
-  // kAndFail pops; nothing was pushed.
-  const ExprProgram underflow2 =
-      ExprProgram::FromRaw({Raw(ExprOp::kAndFail), Halt()}, {}, {});
-  EXPECT_FALSE(ExprVerifier::Verify(underflow2, 1).ok());
-
-  // Nine pushes overflow the 8-slot evaluation stack.
-  std::vector<ExprInsn> code(9, Raw(ExprOp::kLoadConst));
-  code.push_back(Halt());
-  const ExprProgram overflow = ExprProgram::FromRaw(code, {1.0}, {});
-  EXPECT_FALSE(ExprVerifier::Verify(overflow, 1).ok());
-}
-
-TEST(ExprVerifierTest, RejectsNonEmptyStackAtHalt) {
-  const ExprProgram mutant =
-      ExprProgram::FromRaw({Raw(ExprOp::kLoadConst), Halt()}, {1.0}, {});
-  EXPECT_FALSE(ExprVerifier::Verify(mutant, 1).ok());
 }
 
 TEST(ExprVerifierTest, RejectsFailedCompilationAndZeroEvents) {
@@ -233,11 +227,66 @@ TEST(ExprVerifierTest, RejectsFailedCompilationAndZeroEvents) {
       ExprVerifier::Verify(ExprProgram::KeyByConstant(1), 0).ok());
 }
 
+/// Operand fields an opcode reads, as mutation indices (1=a .. 5=e,
+/// 6=imm); the opcode byte itself (0) is always read.
+std::vector<int> ReadFields(ExprOp op) {
+  switch (op) {
+    case ExprOp::kStoreKeyAttr: return {1, 2};
+    case ExprOp::kStoreKeyConst: return {6};
+    case ExprOp::kHalt: return {};
+    case ExprOp::kCmpAttrConstFail: return {1, 2, 3, 6};
+    case ExprOp::kCmpAttrAttrFail: return {1, 2, 3, 4, 5};
+    case ExprOp::kCmpAttrAttrOffFail: return {1, 2, 3, 4, 5, 6};
+  }
+  return {};
+}
+
+void SmashField(ExprInsn* victim, int field, uint8_t value) {
+  switch (field) {
+    case 0: victim->op = static_cast<ExprOp>(value); break;
+    case 1: victim->a = value; break;
+    case 2: victim->b = value; break;
+    case 3: victim->c = value; break;
+    case 4: victim->d = value; break;
+    case 5: victim->e = value; break;
+    default: victim->imm = value; break;
+  }
+}
+
+/// Two event slots of kRows rows each, all attributes 1.0, as a columnar
+/// view: accepted mutants must run here without reading out of bounds.
+class ColumnarScratch {
+ public:
+  static constexpr size_t kRows = 3;
+
+  ColumnarScratch()
+      : columns_(2 * kNumEventAttrs, std::vector<double>(kRows, 1.0)) {
+    for (const std::vector<double>& col : columns_) {
+      column_ptrs_.push_back(col.data());
+    }
+    view_.attr_cols = column_ptrs_.data();
+    view_.num_slots = 2;
+    view_.keys = keys_;
+    view_.count = kRows;
+    view_.mask = mask_;
+  }
+
+  const ExprColumnarView& view() const { return view_; }
+
+ private:
+  std::vector<std::vector<double>> columns_;
+  std::vector<const double*> column_ptrs_;
+  int64_t keys_[kRows] = {};
+  uint8_t mask_[kRows] = {};
+  ExprColumnarView view_;
+};
+
 // Random byte-level mutations of valid programs must never verify as
 // something the executor would then run out of bounds: every accepted
-// mutant must still execute safely (spot check: accepted implies its
-// operand fields are in range by construction of the verifier, so here we
-// only require that rejection dominates and acceptance never crashes).
+// mutant must still execute safely in both execution modes (accepted
+// implies its operand fields are in range by construction of the
+// verifier, so here we only require that rejection dominates and
+// acceptance never crashes — under ASan an out-of-range read would).
 TEST(ExprVerifierTest, RandomMutationsEitherRejectOrStaySafe) {
   Predicate pred;
   pred.Add(Comparison::AttrConst({0, Attribute::kValue}, CmpOp::kLt, 0.5));
@@ -253,30 +302,63 @@ TEST(ExprVerifierTest, RandomMutationsEitherRejectOrStaySafe) {
   std::uniform_int_distribution<int> byte_dist(0, 255);
 
   SimpleEvent events[2] = {};
+  const ColumnarScratch scratch;
   int accepted = 0;
   for (int trial = 0; trial < 500; ++trial) {
     std::vector<ExprInsn> code = base.code();
     ExprInsn& victim = code[insn_dist(rng)];
     const uint8_t value = static_cast<uint8_t>(byte_dist(rng));
-    switch (field_dist(rng)) {
-      case 0: victim.op = static_cast<ExprOp>(value); break;
-      case 1: victim.a = value; break;
-      case 2: victim.b = value; break;
-      case 3: victim.c = value; break;
-      case 4: victim.d = value; break;
-      case 5: victim.e = value; break;
-      default: victim.imm = value; break;
-    }
+    SmashField(&victim, field_dist(rng), value);
     const ExprProgram mutant =
         ExprProgram::FromRaw(code, base.const_pool(), base.key_pool());
     if (ExprVerifier::Verify(mutant, 2).ok()) {
       ++accepted;
       // Verified implies executable: all operands proved in range.
       (void)mutant.EvalOnEvents(events, 2);
+      mutant.RunColumnar(scratch.view());
     }
   }
   // Most random byte smashes corrupt an invariant; a few (e.g. flipping a
   // CmpOp to another valid CmpOp) legitimately still verify.
+  EXPECT_LT(accepted, 250);
+}
+
+// The same corpus over the opcodes the filter base above lacks (the
+// offset term and both key stores), smashing only the opcode byte or an
+// operand the victim reads — a key store ignores most fields, so blind
+// smashes would mostly be no-ops there.
+TEST(ExprVerifierTest, RandomOperandMutationsOfKeyAndOffsetOpcodes) {
+  Predicate offset_pred;
+  offset_pred.Add(Comparison::AttrAttr({1, Attribute::kValue}, CmpOp::kGt,
+                                       {0, Attribute::kValue}, 2.5));
+  const ExprProgram base = ExprProgram::Fuse(
+      ExprProgram::Filter(offset_pred, ExprProgram::VarMode::kPositional),
+      ExprProgram::Fuse(ExprProgram::KeyByAttribute(1, Attribute::kId),
+                        ExprProgram::KeyByConstant(7)));
+  ASSERT_TRUE(ExprVerifier::Verify(base, 2).ok()) << base.ToString();
+
+  std::mt19937_64 rng(11);
+  std::uniform_int_distribution<size_t> insn_dist(0, base.code().size() - 1);
+  std::uniform_int_distribution<int> byte_dist(0, 255);
+
+  SimpleEvent events[2] = {};
+  const ColumnarScratch scratch;
+  int accepted = 0;
+  for (int trial = 0; trial < 500; ++trial) {
+    std::vector<ExprInsn> code = base.code();
+    ExprInsn& victim = code[insn_dist(rng)];
+    std::vector<int> fields = ReadFields(victim.op);
+    fields.push_back(0);
+    const int field = fields[rng() % fields.size()];
+    SmashField(&victim, field, static_cast<uint8_t>(byte_dist(rng)));
+    const ExprProgram mutant =
+        ExprProgram::FromRaw(code, base.const_pool(), base.key_pool());
+    if (ExprVerifier::Verify(mutant, 2).ok()) {
+      ++accepted;
+      (void)mutant.EvalOnEvents(events, 2);
+      mutant.RunColumnar(scratch.view());
+    }
+  }
   EXPECT_LT(accepted, 250);
 }
 

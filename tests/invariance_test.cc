@@ -256,47 +256,45 @@ TEST_F(InvarianceTest, ParallelismMatrixPreservesMatchMultisets) {
 
     for (int parallelism : {1, 2, 4}) {
       for (size_t batch : {size_t{1}, size_t{64}}) {
-        for (bool chaining : {true, false}) {
-          for (bool task_scheduler : {true, false}) {
-            for (bool compile_exprs : {true, false}) {
-              TranslatorOptions opt = o3;
-              opt.parallelism = parallelism;
-              opt.compile_expressions = compile_exprs;
-              auto compiled = TranslatePattern(c.pattern, opt,
-                                               workload_.MakeSourceFactory());
-              ASSERT_TRUE(compiled.ok()) << compiled.status();
-              ThreadedExecutorOptions options;
-              options.batch_size = batch;
-              options.watermark_interval = kEndOfStreamOnly;
-              options.enable_chaining = chaining;
-              options.use_task_scheduler = task_scheduler;
-              ThreadedExecutor executor(&compiled->graph, options);
-              ExecutionResult result = executor.Run(compiled->sink);
-              ASSERT_TRUE(result.ok) << c.name << ": " << result.error;
-              EXPECT_EQ(test::MatchMultiset(compiled->sink->tuples()),
-                        reference)
+        for (bool task_scheduler : {true, false}) {
+          for (bool compile_exprs : {true, false}) {
+            TranslatorOptions opt = o3;
+            opt.parallelism = parallelism;
+            opt.compile_expressions = compile_exprs;
+            auto compiled = TranslatePattern(c.pattern, opt,
+                                             workload_.MakeSourceFactory());
+            ASSERT_TRUE(compiled.ok()) << compiled.status();
+            ThreadedExecutorOptions options;
+            options.batch_size = batch;
+            options.watermark_interval = kEndOfStreamOnly;
+            options.use_task_scheduler = task_scheduler;
+            ThreadedExecutor executor(&compiled->graph, options);
+            ExecutionResult result = executor.Run(compiled->sink);
+            ASSERT_TRUE(result.ok) << c.name << ": " << result.error;
+            EXPECT_EQ(test::MatchMultiset(compiled->sink->tuples()),
+                      reference)
+                << c.name << " parallelism=" << parallelism
+                << " batch_size=" << batch
+                << " task_scheduler=" << task_scheduler
+                << " compile_exprs=" << compile_exprs;
+            EXPECT_EQ(result.scheduler.used, task_scheduler) << c.name;
+            if (parallelism > 1) {
+              // The partitioned stages must actually have been expanded.
+              EXPECT_FALSE(result.partition_skew.empty())
+                  << c.name << " parallelism=" << parallelism;
+            }
+            if (!compile_exprs || parallelism == 1) {
+              // The translated plans must contain at least one fused
+              // forward run, so the matrix covers in-chain hand-offs.
+              // With compiled expressions at parallelism > 1 the
+              // filter→key prefix is already one operator wedged between
+              // a source edge and a hash edge, so no chainable edge
+              // remains — the fusion subsumed what chaining used to buy
+              // there.
+              const ChainLayout layout = ComputeChainLayout(compiled->graph);
+              EXPECT_GT(layout.fused_edge_count(), 0)
                   << c.name << " parallelism=" << parallelism
-                  << " batch_size=" << batch << " chaining=" << chaining
-                  << " task_scheduler=" << task_scheduler
                   << " compile_exprs=" << compile_exprs;
-              EXPECT_EQ(result.scheduler.used, task_scheduler) << c.name;
-              if (parallelism > 1) {
-                // The partitioned stages must actually have been expanded.
-                EXPECT_FALSE(result.partition_skew.empty())
-                    << c.name << " parallelism=" << parallelism;
-              }
-              if (chaining && (!compile_exprs || parallelism == 1)) {
-                // The translated plans must contain at least one fusable
-                // forward run — otherwise this axis tests nothing. With
-                // compiled expressions at parallelism > 1 the filter→key
-                // prefix is already one operator wedged between a source
-                // edge and a hash edge, so no chainable edge remains —
-                // the fusion subsumed what chaining used to buy there.
-                const ChainLayout layout = ComputeChainLayout(compiled->graph);
-                EXPECT_GT(layout.fused_edge_count(), 0)
-                    << c.name << " parallelism=" << parallelism
-                    << " compile_exprs=" << compile_exprs;
-              }
             }
           }
         }
@@ -310,14 +308,12 @@ TEST_F(InvarianceTest, ColumnarTransferPreservesMatchMultisets) {
   // semantics: with compiled expressions the source gathers tuples into
   // ColumnarBatch blocks, the compiled stateless prefix filters them
   // column-wise (SIMD kernels when built with CEP2ASP_SIMD), and the
-  // blocks either scatter back to rows at the first row-major consumer or
-  // — on hash edges into the SoA join — hash-partition into per-subtask
-  // sub-blocks (PartitionByKey) that the join ingests column-wise. Match
-  // multisets must be identical with the path forced off, for every
-  // pattern shape, parallelism, chaining choice, both executor backends
-  // (the task scheduler and the legacy thread-per-subtask path have
-  // separate gather/forward wiring), and with block hash-partitioning
-  // forced off (per-row scatter on hash edges).
+  // blocks either travel whole into the SoA join (parallelism-1 hash
+  // edges) or scatter back to rows at a parallel hash edge or the first
+  // row-major consumer. Match multisets must be identical with the path
+  // forced off, for every pattern shape, parallelism, and both executor
+  // backends (the task scheduler and the legacy thread-per-subtask path
+  // have separate gather/forward wiring).
   struct Case {
     const char* name;
     Pattern pattern;
@@ -346,35 +342,24 @@ TEST_F(InvarianceTest, ColumnarTransferPreservesMatchMultisets) {
     ASSERT_FALSE(reference.empty()) << c.name;
 
     for (int parallelism : {1, 4}) {
-      for (bool chaining : {true, false}) {
-        for (bool task_scheduler : {true, false}) {
-          for (bool columnar : {true, false}) {
-            for (bool columnar_hash : {true, false}) {
-              // The hash-partition knob only matters when blocks flow.
-              if (!columnar && !columnar_hash) continue;
-              TranslatorOptions opt = o3;
-              opt.parallelism = parallelism;
-              auto compiled = TranslatePattern(c.pattern, opt,
-                                               workload_.MakeSourceFactory());
-              ASSERT_TRUE(compiled.ok()) << compiled.status();
-              ThreadedExecutorOptions options;
-              options.watermark_interval = kEndOfStreamOnly;
-              options.enable_chaining = chaining;
-              options.use_task_scheduler = task_scheduler;
-              options.enable_columnar = columnar;
-              options.columnar_hash_partition = columnar_hash;
-              ThreadedExecutor executor(&compiled->graph, options);
-              ExecutionResult result = executor.Run(compiled->sink);
-              ASSERT_TRUE(result.ok) << c.name << ": " << result.error;
-              EXPECT_EQ(test::MatchMultiset(compiled->sink->tuples()),
-                        reference)
-                  << c.name << " parallelism=" << parallelism
-                  << " chaining=" << chaining
-                  << " task_scheduler=" << task_scheduler
-                  << " columnar=" << columnar
-                  << " columnar_hash=" << columnar_hash;
-            }
-          }
+      for (bool task_scheduler : {true, false}) {
+        for (bool columnar : {true, false}) {
+          TranslatorOptions opt = o3;
+          opt.parallelism = parallelism;
+          auto compiled = TranslatePattern(c.pattern, opt,
+                                           workload_.MakeSourceFactory());
+          ASSERT_TRUE(compiled.ok()) << compiled.status();
+          ThreadedExecutorOptions options;
+          options.watermark_interval = kEndOfStreamOnly;
+          options.use_task_scheduler = task_scheduler;
+          options.enable_columnar = columnar;
+          ThreadedExecutor executor(&compiled->graph, options);
+          ExecutionResult result = executor.Run(compiled->sink);
+          ASSERT_TRUE(result.ok) << c.name << ": " << result.error;
+          EXPECT_EQ(test::MatchMultiset(compiled->sink->tuples()), reference)
+              << c.name << " parallelism=" << parallelism
+              << " task_scheduler=" << task_scheduler
+              << " columnar=" << columnar;
         }
       }
     }

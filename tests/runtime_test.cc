@@ -3,10 +3,12 @@
 #include <atomic>
 #include <thread>
 
+#include "analysis/chain_rules.h"
 #include "asp/compiled_stateless.h"
 #include "asp/sliding_window_join.h"
 #include "asp/stateless.h"
 #include "event/expr_program.h"
+#include "harness/bench_util.h"
 #include "runtime/bounded_queue.h"
 #include "runtime/channel.h"
 #include "runtime/executor.h"
@@ -200,14 +202,12 @@ TEST(SpscRingTest, CloseUnblocksConsumer) {
 // --- Channels ----------------------------------------------------------------
 
 std::unique_ptr<Channel> MakeTestChannel(bool spsc) {
-  return MakeChannel(spsc ? 1 : 2, /*capacity_messages=*/1024,
-                     /*enable_spsc=*/true);
+  return MakeChannel(spsc ? 1 : 2, /*capacity_messages=*/1024);
 }
 
 TEST(ChannelTest, SelectionByFanIn) {
-  EXPECT_TRUE(MakeChannel(1, 16, true)->is_spsc());
-  EXPECT_FALSE(MakeChannel(2, 16, true)->is_spsc());   // MPMC fallback
-  EXPECT_FALSE(MakeChannel(1, 16, false)->is_spsc());  // knob off
+  EXPECT_TRUE(MakeChannel(1, 16)->is_spsc());
+  EXPECT_FALSE(MakeChannel(2, 16)->is_spsc());  // MPMC fallback
 }
 
 TEST(ChannelTest, ControlStaysBehindTuplesAcrossBatchBoundaries) {
@@ -468,20 +468,16 @@ TEST(ThreadedExecutorTest, BatchSizeDoesNotChangeResults) {
   auto ref_set = test::MatchSet(ref_sink->tuples());
 
   for (size_t batch : {size_t{1}, size_t{7}, size_t{64}}) {
-    for (bool spsc : {false, true}) {
-      CollectSink* sink = nullptr;
-      auto graph = build(&sink);
-      ThreadedExecutorOptions options;
-      options.batch_size = batch;
-      options.enable_spsc = spsc;
-      ThreadedExecutor executor(graph.get(), options);
-      ExecutionResult result = executor.Run(sink);
-      ASSERT_TRUE(result.ok) << result.error;
-      EXPECT_EQ(result.matches_emitted, ref.matches_emitted)
-          << "batch=" << batch << " spsc=" << spsc;
-      EXPECT_EQ(test::MatchSet(sink->tuples()), ref_set)
-          << "batch=" << batch << " spsc=" << spsc;
-    }
+    CollectSink* sink = nullptr;
+    auto graph = build(&sink);
+    ThreadedExecutorOptions options;
+    options.batch_size = batch;
+    ThreadedExecutor executor(graph.get(), options);
+    ExecutionResult result = executor.Run(sink);
+    ASSERT_TRUE(result.ok) << result.error;
+    EXPECT_EQ(result.matches_emitted, ref.matches_emitted)
+        << "batch=" << batch;
+    EXPECT_EQ(test::MatchSet(sink->tuples()), ref_set) << "batch=" << batch;
   }
 }
 
@@ -495,10 +491,9 @@ TEST(ThreadedExecutorTest, SingleProducerEdgesUseSpscFastPath) {
   CollectSink* sink = sink_op.get();
   graph.AddOperatorAfter(filter, std::move(sink_op));
   // Chaining fuses filter -> sink, so only the source -> filter edge is a
-  // real channel; run chain-off to observe the per-edge channel layout.
-  ThreadedExecutorOptions options;
-  options.enable_chaining = false;
-  ThreadedExecutor executor(&graph, options);
+  // real channel; opt the filter out to observe the per-edge layout.
+  ASSERT_TRUE(graph.SetChaining(filter, false).ok());
+  ThreadedExecutor executor(&graph);
   ExecutionResult result = executor.Run(sink);
   ASSERT_TRUE(result.ok) << result.error;
   ASSERT_EQ(result.channel_stats.size(), 2u);
@@ -622,12 +617,14 @@ TEST(ChainPlannerTest, FusesLinearForwardPipeline) {
   EXPECT_EQ(layout.chain_of[map], 0);
   EXPECT_EQ(layout.pos_in_chain[sink], 2);
 
-  // Disabled: every operator is its own chain, all forward op edges report
-  // kDisabled.
-  ChainLayout off = ComputeChainLayout(graph, /*chaining_enabled=*/false);
+  // Every operator opted out: each is its own chain, and every forward op
+  // edge reports the producer's opt-out.
+  DisableChaining(&graph);
+  ChainLayout off = ComputeChainLayout(graph);
   EXPECT_EQ(off.num_chains(), 3);
   EXPECT_EQ(off.fused_edge_count(), 0);
-  EXPECT_EQ(off.edge_verdict[filter][0], ChainBreak::kDisabled);
+  EXPECT_EQ(off.edge_verdict[filter][0], ChainBreak::kProducerOptedOut);
+  EXPECT_EQ(off.edge_verdict[map][0], ChainBreak::kProducerOptedOut);
 }
 
 TEST(ChainPlannerTest, BreaksOnFanOutFanInHashAndKnob) {
@@ -707,9 +704,8 @@ TEST(ThreadedExecutorTest, ChainSplitAroundNonCloneableOperator) {
     ChainLayout layout;
     CollectSink* sink = nullptr;
     build(&sink, &graph, &layout);
-    ThreadedExecutorOptions options;
-    options.enable_chaining = chaining;
-    ThreadedExecutor executor(&graph, options);
+    if (!chaining) DisableChaining(&graph);
+    ThreadedExecutor executor(&graph);
     ExecutionResult result = executor.Run(sink);
     ASSERT_TRUE(result.ok) << result.error;
     EXPECT_EQ(result.matches_emitted, 400);
@@ -930,21 +926,21 @@ TEST(ThreadedExecutorTest, PartitionSkewAccountsEveryTuple) {
 }
 
 TEST(ThreadedExecutorTest, ColumnarHashEdgeCountsBlocksRowsAndSkew) {
-  // source -> compiled(filter + key-by-id) -> hash -> join(P=2) -> sink,
-  // per join side. With block hash-partitioning on, the compiled prefix
-  // ships column blocks that PartitionByKey splits per subtask: the join's
-  // input channels must report the block envelopes and the rows inside
-  // them, and PartitionSkew must count those rows. With it off the same
+  // source -> compiled(filter + key-by-id) -> hash -> join(P) -> sink, per
+  // join side. At P=1 every key routes to subtask 0, so the compiled
+  // prefix ships its column blocks whole: the join's input channels must
+  // report the block envelopes and the rows inside them. At P=4 the same
   // block-producing operator scatters rows individually through the shim:
-  // scattered_rows accounts for every row and the skew totals are
-  // unchanged — accounting is layout-independent.
+  // scattered_rows accounts for every row, no block crosses the edge, and
+  // PartitionSkew still counts every row — accounting is
+  // layout-independent. I322 must predict each layout before the run.
   auto make_program = [] {
     Predicate pass;  // empty filter: every row survives to the key stage
     return ExprProgram::Fuse(
         ExprProgram::Filter(pass, ExprProgram::VarMode::kBroadcast),
         ExprProgram::KeyByAttribute(0, Attribute::kId));
   };
-  auto run = [&](bool hash_partition) {
+  auto run = [&](int parallelism, std::vector<std::string>* join_notes) {
     JobGraph graph;
     NodeId l = graph.AddSource(
         std::make_unique<VectorSource>("l", MakeEvents(0, 60)));
@@ -959,21 +955,37 @@ TEST(ThreadedExecutorTest, ColumnarHashEdgeCountsBlocksRowsAndSkew) {
         "join"));
     EXPECT_TRUE(graph.Connect(kl, j, 0, PartitionMode::kHash).ok());
     EXPECT_TRUE(graph.Connect(kr, j, 1, PartitionMode::kHash).ok());
-    EXPECT_TRUE(graph.SetParallelism(j, 2).ok());
+    EXPECT_TRUE(graph.SetParallelism(j, parallelism).ok());
     auto sink_op = std::make_unique<CollectSink>(/*store_tuples=*/false);
     CollectSink* sink = sink_op.get();
     graph.AddOperatorAfter(j, std::move(sink_op));
+    const DiagnosticReport layout_report = AnalyzeColumnarLayout(graph);
+    for (const Diagnostic& d : layout_report.diagnostics()) {
+      if (d.message.find("(join)") != std::string::npos) {
+        join_notes->push_back(d.message);
+      }
+    }
     ThreadedExecutorOptions options;
     options.enable_columnar = true;
-    options.columnar_hash_partition = hash_partition;
     ThreadedExecutor executor(&graph, options);
     ExecutionResult result = executor.Run(sink);
     EXPECT_TRUE(result.ok) << result.error;
     return result;
   };
 
-  for (bool hash_partition : {true, false}) {
-    ExecutionResult result = run(hash_partition);
+  for (int parallelism : {1, 4}) {
+    std::vector<std::string> join_notes;
+    ExecutionResult result = run(parallelism, &join_notes);
+    // One I322 note per join input edge.
+    ASSERT_EQ(join_notes.size(), 2u) << "parallelism=" << parallelism;
+    for (const std::string& note : join_notes) {
+      EXPECT_NE(note.find(parallelism == 1
+                              ? ": columnar (ships column blocks whole)"
+                              : ": scatter shim (hash edge into a parallel "
+                                "consumer routes rows)"),
+                std::string::npos)
+          << note;
+    }
     int64_t join_rows = 0, join_blocks = 0, join_block_rows = 0,
             join_scattered = 0;
     for (const ChannelStats& stats : result.channel_stats) {
@@ -984,9 +996,9 @@ TEST(ThreadedExecutorTest, ColumnarHashEdgeCountsBlocksRowsAndSkew) {
       join_scattered += stats.scattered_rows;
     }
     // 60 rows per side reach the join regardless of transfer layout.
-    EXPECT_EQ(join_rows, 120) << "hash_partition=" << hash_partition;
-    if (hash_partition) {
-      EXPECT_GE(join_blocks, 2) << "blocks must ship on the hash edges";
+    EXPECT_EQ(join_rows, 120) << "parallelism=" << parallelism;
+    if (parallelism == 1) {
+      EXPECT_GE(join_blocks, 2) << "blocks must ship on P=1 hash edges";
       EXPECT_EQ(join_block_rows, 120);
       EXPECT_EQ(join_scattered, 0);
     } else {
@@ -995,16 +1007,17 @@ TEST(ThreadedExecutorTest, ColumnarHashEdgeCountsBlocksRowsAndSkew) {
       EXPECT_EQ(join_scattered, 120)
           << "the scatter shim must account for every row";
     }
+    if (parallelism == 1) continue;  // skew is reported for P > 1 only
     bool saw_skew = false;
     for (const PartitionSkew& skew : result.partition_skew) {
       if (skew.op.rfind("join", 0) != 0) continue;
       saw_skew = true;
-      EXPECT_EQ(skew.parallelism, 2);
+      EXPECT_EQ(skew.parallelism, parallelism);
       int64_t total = 0;
       for (int64_t n : skew.tuples_per_subtask) total += n;
       EXPECT_EQ(total, 120) << "skew must count rows inside column blocks";
     }
-    EXPECT_TRUE(saw_skew) << "hash_partition=" << hash_partition;
+    EXPECT_TRUE(saw_skew) << "parallelism=" << parallelism;
   }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,6 +22,22 @@ namespace cep2asp {
 namespace {
 
 using test::Ev;
+
+// Rate assertions need an optimized, uninstrumented build: debug
+// invariant checks and sanitizers cost more per tuple than the offered
+// rates leave.
+#if !defined(NDEBUG) || defined(__SANITIZE_ADDRESS__) || \
+    defined(__SANITIZE_THREAD__)
+constexpr bool kOptimizedBuild = false;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kOptimizedBuild = false;
+#else
+constexpr bool kOptimizedBuild = true;
+#endif
+#else
+constexpr bool kOptimizedBuild = true;
+#endif
 
 std::vector<SimpleEvent> MakeEvents(EventTypeId type, int count,
                                     Timestamp step = 1000) {
@@ -193,8 +210,10 @@ TEST(TaskSchedulerTest, CreditParkUnparkResumesProducerExactlyOnce) {
   // park on credits repeatedly; every park must be matched by exactly one
   // unpark or the run either deadlocks (lost wake) or double-enqueues.
   for (const bool spsc : {false, true}) {
-    std::unique_ptr<Channel> channel =
-        MakeChannel(/*num_producers=*/1, /*capacity_messages=*/8, spsc);
+    // Fan-in selects the channel: 1 gets the SPSC ring, 2 the MPMC queue
+    // (one producer task drives either).
+    std::unique_ptr<Channel> channel = MakeChannel(
+        /*num_producers=*/spsc ? 1 : 2, /*capacity_messages=*/8);
     PushTask producer(channel.get(), /*total=*/500, /*batch_size=*/16);
     PopTask consumer(channel.get());
     TaskScheduler scheduler(2);
@@ -215,8 +234,7 @@ TEST(TaskSchedulerTest, ParkedConsumerShutsDownCleanlyAtEndOfStream) {
   // The producer idles long enough for the consumer to drain nothing and
   // park on input; the end marker must wake it and the scheduler must
   // retire both tasks without leaking a parked task.
-  std::unique_ptr<Channel> channel =
-      MakeChannel(1, 64, /*enable_spsc=*/true);
+  std::unique_ptr<Channel> channel = MakeChannel(1, 64);
   PushTask producer(channel.get(), /*total=*/10, /*batch_size=*/4,
                     /*idle_quanta=*/50);
   PopTask consumer(channel.get());
@@ -327,6 +345,45 @@ TEST(ThreadedExecutorTest, RateLimitedSourceDoesNotStarveCoScheduledTasks) {
   EXPECT_EQ(result.scheduler.total_parks(), result.scheduler.total_unparks());
 }
 
+TEST(ThreadedExecutorTest, PacedSourcesSharingOneWorkerKeepTheirRate) {
+  // Three sources offered 50k tuples/s each on a single worker: every
+  // pacing gap (20 us) is below the scheduler's park slack, so the task
+  // emits without parking — and Next() must not sleep either, or sleep
+  // granularity instead of the offered rate sets the delivered rate and
+  // the three sources serialize their sleeps on the one worker.
+  constexpr int kSources = 3;
+  constexpr int kPerSource = 20000;
+  constexpr double kRate = 50000.0;
+  JobGraph graph;
+  NodeId u = graph.AddOperator(std::make_unique<UnionOperator>(kSources));
+  for (int s = 0; s < kSources; ++s) {
+    NodeId src = graph.AddSource(std::make_unique<RateLimitedSource>(
+        std::make_unique<VectorSource>(
+            "paced" + std::to_string(s),
+            MakeEvents(static_cast<EventTypeId>(s), kPerSource)),
+        kRate));
+    ASSERT_TRUE(graph.Connect(src, u, s).ok());
+  }
+  auto sink_op = std::make_unique<CollectSink>(/*store_tuples=*/false);
+  CollectSink* sink = sink_op.get();
+  graph.AddOperatorAfter(u, std::move(sink_op));
+
+  ThreadedExecutorOptions options;
+  options.worker_threads = 1;
+  ThreadedExecutor executor(&graph, options);
+  const auto start = std::chrono::steady_clock::now();
+  ExecutionResult result = executor.Run(sink);
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.matches_emitted, kSources * kPerSource);
+  if (!kOptimizedBuild) return;  // one worker cannot carry 150k tuples/s
+  const double delivered = kSources * kPerSource / elapsed.count();
+  EXPECT_GE(delivered, 0.9 * kSources * kRate)
+      << "delivered " << delivered << " tuples/s of " << kSources * kRate
+      << " offered";
+}
+
 TEST(ThreadedExecutorTest, OversubscribedParallelismCompletesOnOneWorker) {
   // More tasks than workers: P=4 hash stage + source + sink chains all
   // multiplex onto a single worker thread. Completion proves parking and
@@ -375,7 +432,7 @@ TEST(ScheduleRulesTest, LegacyOversubscriptionReportsI316) {
   JobGraph graph = MakeParallelGraph(4);
   // Legacy threads: 1 source + keyed chain + 4 mapped + sink chain = 7 on
   // 2 hardware threads -> oversubscribed.
-  DiagnosticReport legacy = AnalyzeSchedule(graph, /*chaining_enabled=*/true,
+  DiagnosticReport legacy = AnalyzeSchedule(graph,
                                             /*use_task_scheduler=*/false,
                                             /*hardware_threads=*/2);
   EXPECT_TRUE(legacy.Has(DiagnosticCode::kGraphScheduleOversubscribed));
@@ -383,13 +440,13 @@ TEST(ScheduleRulesTest, LegacyOversubscriptionReportsI316) {
   EXPECT_EQ(legacy.info_count(), 1);
 
   // The task scheduler multiplexes: the finding never fires.
-  DiagnosticReport pooled = AnalyzeSchedule(graph, true,
+  DiagnosticReport pooled = AnalyzeSchedule(graph,
                                             /*use_task_scheduler=*/true,
                                             /*hardware_threads=*/2);
   EXPECT_TRUE(pooled.empty());
 
   // Enough cores for every legacy thread: nothing to report either.
-  DiagnosticReport roomy = AnalyzeSchedule(graph, true,
+  DiagnosticReport roomy = AnalyzeSchedule(graph,
                                            /*use_task_scheduler=*/false,
                                            /*hardware_threads=*/16);
   EXPECT_TRUE(roomy.empty());
@@ -398,7 +455,7 @@ TEST(ScheduleRulesTest, LegacyOversubscriptionReportsI316) {
 TEST(ScheduleRulesTest, ScheduleToStringListsEveryTask) {
   JobGraph graph = MakeParallelGraph(2);
   const std::string layout =
-      ScheduleToString(graph, /*chaining_enabled=*/true, /*worker_threads=*/2);
+      ScheduleToString(graph, /*worker_threads=*/2);
   EXPECT_NE(layout.find("source s"), std::string::npos);
   EXPECT_NE(layout.find("subtask 0"), std::string::npos);
   EXPECT_NE(layout.find("subtask 1"), std::string::npos);
