@@ -73,7 +73,12 @@ struct Interval {
 
   std::string ToString() const {
     if (IsEmpty()) return "[empty]";
-    return "[" + FormatDouble(lo) + ", " + FormatDouble(hi) + "]";
+    std::string out = "[";
+    out += FormatDouble(lo);
+    out += ", ";
+    out += FormatDouble(hi);
+    out += ']';
+    return out;
   }
 };
 

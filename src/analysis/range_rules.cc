@@ -406,8 +406,12 @@ std::string RangeAnalysis::ToString(const JobGraph& graph) const {
         if (iv.IsAll()) continue;
         if (!first) out += ", ";
         first = false;
-        out += "e" + std::to_string(s) + "." +
-               AttributeName(static_cast<Attribute>(a)) + " " + iv.ToString();
+        out += 'e';
+        out += std::to_string(s);
+        out += '.';
+        out += AttributeName(static_cast<Attribute>(a));
+        out += ' ';
+        out += iv.ToString();
       }
     }
     if (!facts.key.IsAll()) {

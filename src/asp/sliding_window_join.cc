@@ -1,39 +1,88 @@
 #include "asp/sliding_window_join.h"
 
 #include <algorithm>
-#include <limits>
 
+#include "analysis/check_invariants.h"
 #include "common/logging.h"
 
 namespace cep2asp {
 
 namespace {
 
-/// Index of the first element of ts[lo, hi) not below `v` (the columns are
-/// sorted ranges once SortIfNeeded ran).
-size_t LowerBoundTs(const Timestamp* ts, size_t lo, size_t hi, Timestamp v) {
-  return static_cast<size_t>(std::lower_bound(ts + lo, ts + hi, v) - ts);
+/// Index of the first element of ts[lo, hi) not below `v`.
+size_t LowerBoundTs(const std::vector<Timestamp>& ts, size_t lo, size_t hi,
+                    Timestamp v) {
+  return static_cast<size_t>(
+      std::lower_bound(ts.begin() + static_cast<ptrdiff_t>(lo),
+                       ts.begin() + static_cast<ptrdiff_t>(hi), v) -
+      ts.begin());
+}
+
+/// Index of the first element of ts[lo, hi) above `v`.
+size_t UpperBoundTs(const std::vector<Timestamp>& ts, size_t lo, size_t hi,
+                    Timestamp v) {
+  return static_cast<size_t>(
+      std::upper_bound(ts.begin() + static_cast<ptrdiff_t>(lo),
+                       ts.begin() + static_cast<ptrdiff_t>(hi), v) -
+      ts.begin());
+}
+
+/// Predicate::EvalOnEvents over a pair read in place: variables below
+/// `ln` address the left row, the rest the right row.
+bool EvalOnPair(const Predicate& predicate, const SimpleEvent* left,
+                size_t ln, const SimpleEvent* right) {
+  const auto event = [&](int var) -> const SimpleEvent& {
+    const size_t v = static_cast<size_t>(var);
+    return v < ln ? left[v] : right[v - ln];
+  };
+  for (const Comparison& c : predicate.terms()) {
+    const double lhs = GetAttribute(event(c.lhs.var), c.lhs.attr);
+    const double rhs =
+        c.rhs_is_attr
+            ? GetAttribute(event(c.rhs_attr.var), c.rhs_attr.attr) +
+                  c.rhs_offset
+            : c.rhs_const;
+    if (!EvalCmp(lhs, c.op, rhs)) return false;
+  }
+  return true;
+}
+
+/// True for the SEQ order term `e<slot>.ts < e<right_var>.ts`.
+bool IsOrderTerm(const Comparison& c, int slot, int right_var) {
+  return c.lhs.var == slot && c.lhs.attr == Attribute::kTs &&
+         c.op == CmpOp::kLt && c.rhs_is_attr &&
+         c.rhs_attr.var == right_var && c.rhs_attr.attr == Attribute::kTs &&
+         c.rhs_offset == 0.0;
 }
 
 }  // namespace
-
-void SlidingWindowJoinOperator::SortIfNeeded(SideBuffer* side) {
-  if (!side->sorted) {
-    side->rows.StableSortByEventTime(side->head);
-    side->sorted = true;
-  }
-}
 
 SlidingWindowJoinOperator::SlidingWindowJoinOperator(SlidingWindowSpec window,
                                                      Predicate condition,
                                                      TimestampMode ts_mode,
                                                      std::string label,
-                                                     bool dedup_pairs)
+                                                     bool dedup_pairs,
+                                                     int order_bound_slot)
     : window_(window),
       condition_(std::move(condition)),
+      residual_(condition_),
       ts_mode_(ts_mode),
       label_(std::move(label)),
-      dedup_pairs_(dedup_pairs) {}
+      dedup_pairs_(dedup_pairs),
+      order_bound_slot_(order_bound_slot) {
+  if (order_bound_slot_ < 0) return;
+  // The right input is one event, so it is the joined tuple's last var.
+  const int right_var = condition_.MaxVar();
+  std::vector<Comparison> terms = condition_.terms();
+  auto it = std::find_if(terms.begin(), terms.end(), [&](const Comparison& c) {
+    return IsOrderTerm(c, order_bound_slot_, right_var);
+  });
+  CEP2ASP_CHECK(it != terms.end() && order_bound_slot_ < right_var)
+      << "order bound e" << order_bound_slot_ << ".ts < e" << right_var
+      << ".ts missing from " << condition_.ToString();
+  terms.erase(it);
+  residual_ = Predicate(std::move(terms));
+}
 
 Status SlidingWindowJoinOperator::Open() {
   if (!window_.valid()) {
@@ -53,59 +102,60 @@ SlidingWindowJoinOperator::KeyState& SlidingWindowJoinOperator::StateForKey(
   return it->state;
 }
 
-Status SlidingWindowJoinOperator::Process(int input, Tuple tuple, Collector*) {
-  CEP2ASP_DCHECK(input == 0 || input == 1);
-  KeyState& key_state = StateForKey(tuple.key());
-  SideBuffer& side = key_state.sides[input];
-  if (side.rows.rows() == 0 && side.rows.num_slots() != tuple.size()) {
-    side.rows.Reset(tuple.size());  // shape the SoA store on first append
+SimpleEvent* SlidingWindowJoinOperator::InsertRow(SideBuffer* side,
+                                                  size_t arity, Timestamp ts) {
+  if (side->rows() == 0) side->arity = arity;  // shape on first insert
+  CEP2ASP_DCHECK(side->arity == arity)
+      << "row arity " << arity << " vs side " << side->arity;
+  // In-order arrivals append; a late or interleaved one goes after every
+  // live row of equal or smaller time (the dead prefix is never searched).
+  size_t pos = side->rows();
+  if (!side->empty() && ts < side->times.back()) {
+    pos = UpperBoundTs(side->times, side->head, side->rows(), ts);
   }
-  state_bytes_ += RowBytes(tuple.size());
-  if (!side.empty() &&
-      tuple.event_time() < side.rows.event_time(side.rows.rows() - 1)) {
-    side.sorted = false;
-  }
-  side.min_ts = std::min(side.min_ts, tuple.event_time());
-  min_buffered_ts_ = std::min(min_buffered_ts_, tuple.event_time());
-  side.rows.AppendTuple(tuple);
-  return Status::OK();
+  side->times.insert(side->times.begin() + static_cast<ptrdiff_t>(pos), ts);
+  auto at = side->events.begin() + static_cast<ptrdiff_t>(pos * arity);
+  side->events.insert(at, arity, SimpleEvent{});
+  state_bytes_ += RowBytes(arity);
+  min_buffered_ts_ = std::min(min_buffered_ts_, ts);
+  return &side->events[pos * arity];
 }
 
-void SlidingWindowJoinOperator::AppendRun(SideBuffer* side,
-                                          const ColumnarBatch& block,
-                                          size_t begin, size_t end) {
-  if (side->rows.rows() == 0 && side->rows.num_slots() != block.num_slots()) {
-    side->rows.Reset(block.num_slots());
-  }
-  CEP2ASP_DCHECK(side->rows.num_slots() == block.num_slots())
-      << "block shape " << block.num_slots() << " vs side "
-      << side->rows.num_slots();
-  const Timestamp* ets = block.event_times();
-  Timestamp prev = side->empty()
-                       ? kMinTimestamp
-                       : side->rows.event_time(side->rows.rows() - 1);
-  Timestamp run_min = kMaxTimestamp;
-  for (size_t r = begin; r < end; ++r) {
-    if (ets[r] < prev) side->sorted = false;
-    prev = ets[r];
-    run_min = std::min(run_min, ets[r]);
-  }
-  side->min_ts = std::min(side->min_ts, run_min);
-  min_buffered_ts_ = std::min(min_buffered_ts_, run_min);
-  side->rows.AppendRows(block, begin, end);
-  state_bytes_ += (end - begin) * RowBytes(block.num_slots());
+void SlidingWindowJoinOperator::CheckBoundedRightRow(
+    [[maybe_unused]] int input, [[maybe_unused]] const SideBuffer& side,
+    [[maybe_unused]] const SimpleEvent* row,
+    [[maybe_unused]] Timestamp ts) const {
+#if CEP2ASP_CHECK_INVARIANTS
+  if (input != 1 || order_bound_slot_ < 0) return;
+  CEP2ASP_CHECK(side.arity == 1 && row[0].ts == ts)
+      << label_ << ": order-bounded join got a right row of arity "
+      << side.arity << " with event time " << ts << " != event ts "
+      << row[0].ts;
+#endif
+}
+
+Status SlidingWindowJoinOperator::Process(int input, Tuple tuple, Collector*) {
+  CEP2ASP_DCHECK(input == 0 || input == 1);
+  SideBuffer& side = StateForKey(tuple.key()).sides[input];
+  SimpleEvent* row =
+      InsertRow(&side, tuple.size(), tuple.event_time());
+  std::copy(tuple.begin(), tuple.end(), row);
+  CheckBoundedRightRow(input, side, row, tuple.event_time());
+  return Status::OK();
 }
 
 Status SlidingWindowJoinOperator::ProcessColumnar(
     int input, std::unique_ptr<ColumnarBatch> block, Collector*) {
   CEP2ASP_DCHECK(input == 0 || input == 1);
   const size_t n = block->rows();
+  const size_t arity = block->num_slots();
   const int64_t* keys = block->keys();
   const uint8_t* mask = block->mask();
-  // Ingest runs of equal keys with one key lookup and one column-wise
-  // append each: hash-partitioned sub-blocks and constant-key (cartesian)
-  // inputs arrive as few long runs, per-key-interleaved inputs degrade to
-  // per-row appends that still skip the RowTuple gather.
+  const Timestamp* ets = block->event_times();
+  // One key lookup per run of equal keys: hash-partitioned sub-blocks and
+  // constant-key (cartesian) inputs arrive as few long runs,
+  // per-key-interleaved inputs degrade to one lookup per row that still
+  // skips the RowTuple gather.
   size_t i = 0;
   while (i < n) {
     if (!mask[i]) {
@@ -114,8 +164,12 @@ Status SlidingWindowJoinOperator::ProcessColumnar(
     }
     size_t j = i + 1;
     while (j < n && mask[j] && keys[j] == keys[i]) ++j;
-    KeyState& key_state = StateForKey(keys[i]);
-    AppendRun(&key_state.sides[input], *block, i, j);
+    SideBuffer& side = StateForKey(keys[i]).sides[input];
+    for (size_t r = i; r < j; ++r) {
+      SimpleEvent* row = InsertRow(&side, arity, ets[r]);
+      for (size_t s = 0; s < arity; ++s) row[s] = block->RowEvent(s, r);
+      CheckBoundedRightRow(input, side, row, ets[r]);
+    }
     i = j;
   }
   return Status::OK();
@@ -130,7 +184,7 @@ Status SlidingWindowJoinOperator::OnWatermark(Timestamp watermark,
 void SlidingWindowJoinOperator::FireWindows(Timestamp watermark,
                                             Collector* out) {
   while (true) {
-    Timestamp min_ts = MinBufferedTs();
+    const Timestamp min_ts = min_buffered_ts_;
     if (min_ts == kMaxTimestamp) {
       // Nothing buffered; the cursor stays where it is (monotone — resuming
       // at a later event's first window happens via the jump below) so a
@@ -172,70 +226,63 @@ void SlidingWindowJoinOperator::FireWindows(Timestamp watermark,
 void SlidingWindowJoinOperator::FireWindow(int64_t k, Collector* out) {
   const Timestamp begin = window_.WindowStart(k);
   const Timestamp end = window_.WindowEnd(k);
-  for (KeyEntry& entry : keys_) {
-    KeyState& key_state = entry.state;
-    SideBuffer& left = key_state.sides[0];
-    SideBuffer& right = key_state.sides[1];
+  // Rows whose first window is k: the newest slide of the window.
+  const Timestamp fresh = end - window_.slide;
+  for (const KeyEntry& entry : keys_) {
+    const SideBuffer& left = entry.state.sides[0];
+    const SideBuffer& right = entry.state.sides[1];
     if (left.empty() || right.empty()) continue;
-    SortIfNeeded(&left);
-    SortIfNeeded(&right);
-
-    // Range binary searches walk the contiguous event-time columns.
-    const Timestamp* lts = left.rows.event_times();
-    const Timestamp* rts = right.rows.event_times();
-    const size_t l_lo = LowerBoundTs(lts, left.head, left.rows.rows(), begin);
-    const size_t l_hi = LowerBoundTs(lts, l_lo, left.rows.rows(), end);
+    const size_t l_lo = LowerBoundTs(left.times, left.head, left.rows(), begin);
+    const size_t l_hi = LowerBoundTs(left.times, l_lo, left.rows(), end);
     if (l_lo == l_hi) continue;
-    const size_t r_lo = LowerBoundTs(rts, right.head, right.rows.rows(), begin);
-    const size_t r_hi = LowerBoundTs(rts, r_lo, right.rows.rows(), end);
+    const size_t r_lo =
+        LowerBoundTs(right.times, right.head, right.rows(), begin);
+    const size_t r_hi = LowerBoundTs(right.times, r_lo, right.rows(), end);
     if (r_lo == r_hi) continue;
-
-    const size_t ln = left.rows.num_slots();
-    const size_t rn = right.rows.num_slots();
-    const size_t r_cnt = r_hi - r_lo;
-    // Pre-gather the right range once per (key, window): every (l, r)
-    // pair then reuses it with one contiguous copy, where the row-major
-    // probe concatenated two Tuples per evaluated pair.
-    right_scratch_.resize(r_cnt * rn);
-    for (size_t r = 0; r < r_cnt; ++r) {
-      for (size_t s = 0; s < rn; ++s) {
-        right_scratch_[r * rn + s] = right.rows.RowEvent(s, r_lo + r);
-      }
+    if (!dedup_pairs_) {
+      ProbeRange(entry.key, left, l_lo, l_hi, right, r_lo, r_hi, out);
+      continue;
     }
-    scratch_.resize(ln + rn);
-    for (size_t l = l_lo; l != l_hi; ++l) {
-      for (size_t s = 0; s < ln; ++s) scratch_[s] = left.rows.RowEvent(s, l);
-      const int64_t l_first = dedup_pairs_ ? window_.FirstWindow(lts[l]) : 0;
-      for (size_t r = 0; r < r_cnt; ++r) {
-        ++pairs_evaluated_;
-        if (dedup_pairs_) {
-          // First window containing both sides; skip re-emissions from
-          // later overlapping windows.
-          const int64_t first_common =
-              std::max(l_first, window_.FirstWindow(rts[r_lo + r]));
-          if (first_common != k) continue;
-        }
-        std::copy(right_scratch_.begin() + static_cast<ptrdiff_t>(r * rn),
-                  right_scratch_.begin() + static_cast<ptrdiff_t>((r + 1) * rn),
-                  scratch_.begin() + static_cast<ptrdiff_t>(ln));
-        if (!condition_.IsTrue() &&
-            !condition_.EvalOnEvents(scratch_.data(), ln + rn)) {
-          continue;
-        }
-        // Materialize the output tuple only for matches: concatenated
-        // events, the left side's key, event time redefined per §4.2.2.
-        Tuple joined;
-        Timestamp tsb = scratch_[0].ts;
-        Timestamp tse = scratch_[0].ts;
-        for (const SimpleEvent& e : scratch_) {
-          joined.AppendEvent(e);
-          tsb = std::min(tsb, e.ts);
-          tse = std::max(tse, e.ts);
-        }
-        joined.set_key(entry.key);
-        joined.set_event_time(ts_mode_ == TimestampMode::kMax ? tse : tsb);
-        out->Emit(std::move(joined));
-      }
+    // A pair's first common window is the later of its rows' first
+    // windows, so window k owns exactly the pairs with a fresh row:
+    // older-left x fresh-right, then fresh-left x all-right.
+    const size_t l_fresh = LowerBoundTs(left.times, l_lo, l_hi, fresh);
+    const size_t r_fresh = LowerBoundTs(right.times, r_lo, r_hi, fresh);
+    ProbeRange(entry.key, left, l_lo, l_fresh, right, r_fresh, r_hi, out);
+    ProbeRange(entry.key, left, l_fresh, l_hi, right, r_lo, r_hi, out);
+  }
+}
+
+void SlidingWindowJoinOperator::ProbeRange(int64_t key, const SideBuffer& left,
+                                           size_t l_lo, size_t l_hi,
+                                           const SideBuffer& right,
+                                           size_t r_lo, size_t r_hi,
+                                           Collector* out) {
+  if (r_lo == r_hi) return;
+  const size_t ln = left.arity;
+  const size_t rn = right.arity;
+  const bool has_residual = !residual_.IsTrue();
+  for (size_t l = l_lo; l < l_hi; ++l) {
+    const SimpleEvent* lrow = left.row(l);
+    size_t r = r_lo;
+    if (order_bound_slot_ >= 0) {
+      // Right rows are single events ordered by their ts, so the order
+      // term holds exactly from the first row above the left slot's ts.
+      r = UpperBoundTs(right.times, r_lo, r_hi, lrow[order_bound_slot_].ts);
+    }
+    pairs_evaluated_ += static_cast<int64_t>(r_hi - r);
+    for (; r < r_hi; ++r) {
+      const SimpleEvent* rrow = right.row(r);
+      if (has_residual && !EvalOnPair(residual_, lrow, ln, rrow)) continue;
+      // Materialize the output tuple only for matches: concatenated
+      // events, the left side's key, event time redefined per §4.2.2.
+      Tuple joined;
+      for (size_t s = 0; s < ln; ++s) joined.AppendEvent(lrow[s]);
+      for (size_t s = 0; s < rn; ++s) joined.AppendEvent(rrow[s]);
+      joined.set_key(key);
+      joined.set_event_time(ts_mode_ == TimestampMode::kMax ? joined.tse()
+                                                             : joined.tsb());
+      out->Emit(std::move(joined));
     }
   }
 }
@@ -245,54 +292,43 @@ void SlidingWindowJoinOperator::EvictBefore(Timestamp min_keep_ts) {
   for (auto it = keys_.begin(); it != keys_.end();) {
     KeyState& key_state = it->state;
     const Timestamp key_min =
-        std::min(key_state.sides[0].min_ts, key_state.sides[1].min_ts);
+        std::min(key_state.sides[0].min_ts(), key_state.sides[1].min_ts());
     if (key_min >= min_keep_ts) {
-      // Nothing evictable under this key (side minima are exact even while
-      // a side is unsorted): skip the sort + erase entirely. A key can
-      // only become all-empty through eviction, and that path erases it
-      // below, so skipped keys always still hold tuples.
+      // Nothing evictable under this key. A key can only become all-empty
+      // through eviction, and that path erases it below, so skipped keys
+      // always still hold tuples.
       global_min = std::min(global_min, key_min);
       ++it;
       continue;
     }
     bool all_empty = true;
     for (SideBuffer& side : key_state.sides) {
-      SortIfNeeded(&side);
-      const Timestamp* ts = side.rows.event_times();
       const size_t keep_from =
-          LowerBoundTs(ts, side.head, side.rows.rows(), min_keep_ts);
-      state_bytes_ -=
-          (keep_from - side.head) * RowBytes(side.rows.num_slots());
+          LowerBoundTs(side.times, side.head, side.rows(), min_keep_ts);
+      state_bytes_ -= (keep_from - side.head) * RowBytes(side.arity);
       side.head = keep_from;
       // Reclaim the dead prefix only once it outweighs the live suffix;
       // each survivor is then moved at most once per doubling of evicted
       // rows, keeping eviction amortized O(1) per row.
-      const size_t live = side.rows.rows() - side.head;
-      if (side.head >= live) {
-        side.rows.ErasePrefix(side.head);
+      if (side.head >= side.rows() - side.head) {
+        const auto dead = static_cast<ptrdiff_t>(side.head);
+        side.times.erase(side.times.begin(), side.times.begin() + dead);
+        side.events.erase(
+            side.events.begin(),
+            side.events.begin() + dead * static_cast<ptrdiff_t>(side.arity));
         side.head = 0;
       }
-      // Sides are sorted here, so the surviving front is the new minimum.
-      side.min_ts =
-          side.empty() ? kMaxTimestamp : side.rows.event_time(side.head);
       if (!side.empty()) all_empty = false;
     }
     if (all_empty) {
       it = keys_.erase(it);
     } else {
-      global_min = std::min(
-          global_min,
-          std::min(key_state.sides[0].min_ts, key_state.sides[1].min_ts));
+      global_min = std::min(global_min, std::min(key_state.sides[0].min_ts(),
+                                                 key_state.sides[1].min_ts()));
       ++it;
     }
   }
   min_buffered_ts_ = global_min;
-}
-
-Timestamp SlidingWindowJoinOperator::MinBufferedTs() const {
-  // Exact: Process/ProcessColumnar fold arrivals in, EvictBefore
-  // re-derives after removals, and those are the only buffer mutations.
-  return min_buffered_ts_;
 }
 
 }  // namespace cep2asp

@@ -33,9 +33,10 @@ enum class TimestampMode : uint8_t { kMin, kMax };
 ///
 /// Windows follow the explicit sliding semantics of §3.1.2; overlapping
 /// windows duplicate matches by design (deduplication is part of semantic
-/// equivalence, not of the operator). Per-window work is recomputed for
-/// every overlap, which is exactly the sliding-window cost the paper's O1
-/// optimization avoids.
+/// equivalence, not of the operator). The final join re-enumerates each
+/// window it fires, which is the sliding-window cost the paper's O1
+/// optimization avoids; an intermediate (`dedup_pairs`) join enumerates
+/// each pair only in the window it emits it from.
 ///
 /// The `condition` predicate addresses constituent events positionally in
 /// the *concatenated* output tuple (left events first).
@@ -47,11 +48,19 @@ class SlidingWindowJoinOperator : public Operator {
   /// used for the intermediate joins of decomposed patterns, where
   /// per-overlap duplicates would otherwise multiply through the chain.
   /// The final join keeps the sliding duplicates the paper describes
-  /// (§3.1.4). Pair *evaluation* is still repeated per overlapping window
-  /// either way (the cost O1 removes).
+  /// (§3.1.4).
+  ///
+  /// `order_bound_slot` >= 0 marks the SEQ order term
+  /// `l.slot.ts < r.ts` of `condition` as a range bound: each left row
+  /// starts at the first right row whose event time exceeds its slot's ts,
+  /// and the term leaves the per-pair residual. Valid only when every
+  /// right row is a single event whose event time is that event's ts (a
+  /// leaf input); `condition` must hold the term, over the right event
+  /// `condition.MaxVar()`.
   SlidingWindowJoinOperator(SlidingWindowSpec window, Predicate condition,
                             TimestampMode ts_mode, std::string label = "win-join",
-                            bool dedup_pairs = false);
+                            bool dedup_pairs = false,
+                            int order_bound_slot = -1);
 
   std::string name() const override { return label_; }
   int num_inputs() const override { return 2; }
@@ -67,9 +76,10 @@ class SlidingWindowJoinOperator : public Operator {
     traits.drains_on_final_watermark = true;
     traits.predicate = &condition_;  // positional over the joined tuple
     traits.selectivity_bound = selectivity_bound_;
-    // Window buffers are SoA (per-side ColumnarBatch): arriving column
-    // blocks append column-wise via ProcessColumnar, so forward and
-    // parallelism-1 hash edges into the join may carry blocks whole.
+    // Arriving column blocks scatter into the row-major window stores via
+    // ProcessColumnar with one key lookup per run of equal keys, so
+    // forward and parallelism-1 hash edges into the join may carry blocks
+    // whole.
     traits.columnar_capable = true;
     return traits;
   }
@@ -81,11 +91,11 @@ class SlidingWindowJoinOperator : public Operator {
   Status Open() override;
   Status Process(int input, Tuple tuple, Collector* out) override;
 
-  /// Columnar ingest: appends the block's rows column-wise into the
-  /// per-(key, side) SoA window buffers — one StateForKey lookup and one
-  /// contiguous per-column insert per run of equal keys, instead of a
-  /// RowTuple gather + per-tuple Process per row. Hash-partitioned and
-  /// constant-key (cartesian) inputs arrive as long runs.
+  /// Columnar ingest: one StateForKey lookup per run of equal keys, then
+  /// each row of the run scatters straight into the per-(key, side)
+  /// window store — no RowTuple gather, no per-row Process call.
+  /// Hash-partitioned and constant-key (cartesian) inputs arrive as long
+  /// runs.
   Status ProcessColumnar(int input, std::unique_ptr<ColumnarBatch> block,
                          Collector* out) override;
 
@@ -98,40 +108,46 @@ class SlidingWindowJoinOperator : public Operator {
   /// the exact match multiset.
   std::unique_ptr<Operator> CloneForSubtask() const override {
     auto clone = std::make_unique<SlidingWindowJoinOperator>(
-        window_, condition_, ts_mode_, label_, dedup_pairs_);
+        window_, condition_, ts_mode_, label_, dedup_pairs_,
+        order_bound_slot_);
     clone->selectivity_bound_ = selectivity_bound_;
     return clone;
   }
 
-  /// Total (left, right) pairs evaluated; exposes the duplicate
-  /// computation across overlapping windows for benchmarks.
+  /// (left, right) pairs the fire path enumerated: every pair that reached
+  /// the residual condition, or was emitted directly when no residual
+  /// remains. Pairs pruned by the window ranges, by the dedup join's
+  /// first-common-window ranges or by the order bound are not counted. A
+  /// final join counts a pair once per window that enumerates it. With
+  /// the bound in place the sum over subtasks does not depend on
+  /// parallelism or on arrival timing.
   int64_t pairs_evaluated() const { return pairs_evaluated_; }
 
  private:
-  /// Per-(key, side) window store, struct-of-arrays: rows live in a
-  /// ColumnarBatch (one contiguous column per event attribute plus exact
-  /// key/event-time columns), shaped to the side's tuple arity on first
-  /// append. The probe walks the contiguous event-time column for its
-  /// range binary searches and gathers events only for pairs that reach
-  /// condition evaluation — instead of lower_bound over ~280-byte-strided
-  /// row-major Tuples.
+  /// Per-(key, side) window store, row-major: row i is the `arity` events
+  /// events[i * arity, (i + 1) * arity) with event time times[i]. Rows
+  /// stay sorted by event time — an arrival is inserted after every
+  /// buffered row of equal or smaller time, so equal times keep arrival
+  /// order — and firing never sorts. A pair's events are two contiguous
+  /// runs, read in place for residual evaluation and output.
   struct SideBuffer {
-    ColumnarBatch rows;
+    std::vector<SimpleEvent> events;
+    std::vector<Timestamp> times;
+    size_t arity = 0;
     // Index of the first live row: [head, rows) are buffered, [0, head)
     // are evicted-but-not-yet-reclaimed. Eviction advances `head` and
-    // compacts (ErasePrefix) only once the dead prefix reaches the live
-    // size, so each row is moved O(1) amortized times over its lifetime —
-    // a plain erase-from-front would instead move every survivor on every
-    // evict, a cost that balloons when batched execution lets the buffers
-    // run deep ahead of the watermark.
+    // erases the dead prefix only once it reaches the live size, so each
+    // row is moved O(1) amortized times over its lifetime — a plain
+    // erase-from-front would instead move every survivor on every evict,
+    // a cost that balloons when batched execution lets the buffers run
+    // deep ahead of the watermark.
     size_t head = 0;
-    bool sorted = true;
-    // Smallest buffered event time, maintained incrementally on append
-    // and re-derived from the sorted front on eviction, so the watermark
-    // path (MinBufferedTs) is O(keys) instead of rescanning every row.
-    Timestamp min_ts = kMaxTimestamp;
 
-    bool empty() const { return head >= rows.rows(); }
+    size_t rows() const { return times.size(); }
+    bool empty() const { return head >= times.size(); }
+    const SimpleEvent* row(size_t i) const { return &events[i * arity]; }
+    /// Smallest buffered event time (the live front: rows are sorted).
+    Timestamp min_ts() const { return empty() ? kMaxTimestamp : times[head]; }
   };
 
   struct KeyState {
@@ -150,7 +166,6 @@ class SlidingWindowJoinOperator : public Operator {
   };
 
   KeyState& StateForKey(int64_t key);
-  static void SortIfNeeded(SideBuffer* side);
 
   /// Per-row state accounting, matching the row-major Tuple footprint so
   /// figure-5 style byte timelines stay comparable across layouts.
@@ -158,21 +173,32 @@ class SlidingWindowJoinOperator : public Operator {
     return sizeof(Tuple) + (arity > 4 ? arity * sizeof(SimpleEvent) : 0);
   }
 
-  /// Appends rows [begin, end) of `block` (all one key) to `side`,
-  /// maintaining the sorted flag and the min-ts caches.
-  void AppendRun(SideBuffer* side, const ColumnarBatch& block, size_t begin,
-                 size_t end);
+  /// Inserts a row of `arity` events with event time `ts` at its sorted
+  /// place in `side` and returns where the caller writes the events.
+  SimpleEvent* InsertRow(SideBuffer* side, size_t arity, Timestamp ts);
+  /// Debug-build check (CEP2ASP_CHECK_INVARIANTS) that a bounded join's
+  /// right row is one event whose ts is the row's event time.
+  void CheckBoundedRightRow(int input, const SideBuffer& side,
+                            const SimpleEvent* row, Timestamp ts) const;
 
   void FireWindows(Timestamp watermark, Collector* out);
   void FireWindow(int64_t k, Collector* out);
+  /// Enumerates left rows [l_lo, l_hi) x right rows [r_lo, r_hi) of one
+  /// key, narrowed per left row by the order bound, and emits every pair
+  /// the residual accepts.
+  void ProbeRange(int64_t key, const SideBuffer& left, size_t l_lo,
+                  size_t l_hi, const SideBuffer& right, size_t r_lo,
+                  size_t r_hi, Collector* out);
   void EvictBefore(Timestamp min_keep_ts);
-  Timestamp MinBufferedTs() const;
 
   SlidingWindowSpec window_;
   Predicate condition_;
+  /// `condition_` without the order term the bound enforces.
+  Predicate residual_;
   TimestampMode ts_mode_;
   std::string label_;
   bool dedup_pairs_;
+  int order_bound_slot_;
   double selectivity_bound_ = -1.0;
 
   /// Fired windows between evict walks; trades up to kEvictStride-1 slides
@@ -181,22 +207,15 @@ class SlidingWindowJoinOperator : public Operator {
   int windows_since_evict_ = 0;
 
   std::vector<KeyEntry> keys_;  // sorted by key
-  /// Smallest event time buffered across all keys and sides; folded in by
-  /// Process and re-derived by EvictBefore, so the per-watermark firing
-  /// loop costs O(1) instead of a full key scan per iteration.
+  /// Smallest event time buffered across all keys and sides; folded in on
+  /// insert and re-derived by EvictBefore (the only two buffer
+  /// mutations), so the per-watermark firing loop costs O(1) instead of a
+  /// full key scan per iteration.
   Timestamp min_buffered_ts_ = kMaxTimestamp;
   int64_t next_window_ = 0;
   bool have_window_cursor_ = false;
   size_t state_bytes_ = 0;
   int64_t pairs_evaluated_ = 0;
-
-  /// Probe scratch, reused across windows: `scratch_` holds the events of
-  /// the current (left, right) pair for positional condition evaluation
-  /// without materializing a Tuple; `right_scratch_` pre-gathers the right
-  /// range once per (key, window) so every pair reuses it via one
-  /// contiguous copy.
-  std::vector<SimpleEvent> scratch_;
-  std::vector<SimpleEvent> right_scratch_;
 };
 
 }  // namespace cep2asp

@@ -68,8 +68,10 @@ std::string Tuple::ToString() const {
   for (size_t i = 0; i < events_.size(); ++i) {
     if (i > 0) out += " ";
     out += EventTypeRegistry::Global()->Name(events_[i].type);
-    out += "#" + std::to_string(events_[i].id);
-    out += "@" + std::to_string(events_[i].ts);
+    out += '#';
+    out += std::to_string(events_[i].id);
+    out += '@';
+    out += std::to_string(events_[i].ts);
   }
   out += "]";
   return out;

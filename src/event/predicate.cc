@@ -89,12 +89,18 @@ bool Comparison::EvalOnEvent(const SimpleEvent& event) const {
 }
 
 std::string Comparison::ToString() const {
-  std::string out = "e" + std::to_string(lhs.var) + "." + AttributeName(lhs.attr);
-  out += " ";
+  std::string out = "e";
+  out += std::to_string(lhs.var);
+  out += '.';
+  out += AttributeName(lhs.attr);
+  out += ' ';
   out += CmpOpToString(op);
-  out += " ";
+  out += ' ';
   if (rhs_is_attr) {
-    out += "e" + std::to_string(rhs_attr.var) + "." + AttributeName(rhs_attr.attr);
+    out += 'e';
+    out += std::to_string(rhs_attr.var);
+    out += '.';
+    out += AttributeName(rhs_attr.attr);
     if (rhs_offset != 0.0) out += " + " + FormatDouble(rhs_offset);
   } else {
     out += FormatDouble(rhs_const);

@@ -69,9 +69,10 @@ Result<Pattern> PaperPatterns::SeqN(int n, double filter_selectivity,
   PatternBuilder builder;
   std::vector<std::unique_ptr<PatternNode>> children;
   for (int i = 0; i < n; ++i) {
+    std::string variable = "e";
+    variable += std::to_string(i + 1);
     children.push_back(PatternBuilder::Atom(
-        order[i], "e" + std::to_string(i + 1),
-        ThresholdFilter(filter_selectivity)));
+        order[i], std::move(variable), ThresholdFilter(filter_selectivity)));
   }
   return builder.Seq(std::move(children)).Within(window).SlideBy(slide).Build();
 }

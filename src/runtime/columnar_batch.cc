@@ -1,7 +1,6 @@
 #include "runtime/columnar_batch.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/logging.h"
 
@@ -86,97 +85,6 @@ SimpleEvent ColumnarBatch::RowEvent(size_t slot, size_t i) const {
   e.type = type_cols_[slot][i];
   e.create_ts = create_ts_cols_[slot][i];
   return e;
-}
-
-void ColumnarBatch::AppendRows(const ColumnarBatch& src, size_t begin,
-                               size_t end) {
-  CEP2ASP_DCHECK(src.num_slots_ == num_slots_)
-      << "source shape " << src.num_slots_ << " vs " << num_slots_;
-  CEP2ASP_DCHECK(begin <= end && end <= src.rows_);
-  if (begin >= end) return;
-  const size_t n = end - begin;
-  for (size_t c = 0; c < attr_cols_.size(); ++c) {
-    attr_cols_[c].insert(attr_cols_[c].end(),
-                         src.attr_cols_[c].begin() + static_cast<ptrdiff_t>(begin),
-                         src.attr_cols_[c].begin() + static_cast<ptrdiff_t>(end));
-  }
-  for (size_t s = 0; s < num_slots_; ++s) {
-    type_cols_[s].insert(type_cols_[s].end(),
-                         src.type_cols_[s].begin() + static_cast<ptrdiff_t>(begin),
-                         src.type_cols_[s].begin() + static_cast<ptrdiff_t>(end));
-    create_ts_cols_[s].insert(
-        create_ts_cols_[s].end(),
-        src.create_ts_cols_[s].begin() + static_cast<ptrdiff_t>(begin),
-        src.create_ts_cols_[s].begin() + static_cast<ptrdiff_t>(end));
-  }
-  keys_.insert(keys_.end(), src.keys_.begin() + static_cast<ptrdiff_t>(begin),
-               src.keys_.begin() + static_cast<ptrdiff_t>(end));
-  event_times_.insert(event_times_.end(),
-                      src.event_times_.begin() + static_cast<ptrdiff_t>(begin),
-                      src.event_times_.begin() + static_cast<ptrdiff_t>(end));
-  mask_.insert(mask_.end(), n, static_cast<uint8_t>(1));
-  rows_ += n;
-}
-
-void ColumnarBatch::ErasePrefix(size_t n) {
-  if (n == 0) return;
-  CEP2ASP_DCHECK(n <= rows_);
-  const ptrdiff_t d = static_cast<ptrdiff_t>(n);
-  for (std::vector<double>& col : attr_cols_) {
-    col.erase(col.begin(), col.begin() + d);
-  }
-  for (std::vector<EventTypeId>& col : type_cols_) {
-    col.erase(col.begin(), col.begin() + d);
-  }
-  for (std::vector<Timestamp>& col : create_ts_cols_) {
-    col.erase(col.begin(), col.begin() + d);
-  }
-  keys_.erase(keys_.begin(), keys_.begin() + d);
-  event_times_.erase(event_times_.begin(), event_times_.begin() + d);
-  mask_.erase(mask_.begin(), mask_.begin() + d);
-  rows_ -= n;
-}
-
-namespace {
-
-template <typename T>
-void ApplyPermutation(std::vector<T>* col, size_t from,
-                      const std::vector<uint32_t>& perm) {
-  std::vector<T> tmp(perm.size());
-  for (size_t i = 0; i < perm.size(); ++i) {
-    tmp[i] = (*col)[from + perm[i]];
-  }
-  std::copy(tmp.begin(), tmp.end(), col->begin() + static_cast<ptrdiff_t>(from));
-}
-
-}  // namespace
-
-void ColumnarBatch::StableSortByEventTime(size_t from) {
-  if (from >= rows_) return;
-  const size_t n = rows_ - from;
-  std::vector<uint32_t> perm(n);
-  std::iota(perm.begin(), perm.end(), 0u);
-  const Timestamp* ts = event_times_.data() + from;
-  std::stable_sort(perm.begin(), perm.end(),
-                   [ts](uint32_t a, uint32_t b) { return ts[a] < ts[b]; });
-  bool identity = true;
-  for (size_t i = 0; i < n; ++i) {
-    if (perm[i] != i) {
-      identity = false;
-      break;
-    }
-  }
-  if (identity) return;
-  for (std::vector<double>& col : attr_cols_) ApplyPermutation(&col, from, perm);
-  for (std::vector<EventTypeId>& col : type_cols_) {
-    ApplyPermutation(&col, from, perm);
-  }
-  for (std::vector<Timestamp>& col : create_ts_cols_) {
-    ApplyPermutation(&col, from, perm);
-  }
-  ApplyPermutation(&keys_, from, perm);
-  ApplyPermutation(&event_times_, from, perm);
-  ApplyPermutation(&mask_, from, perm);
 }
 
 size_t ColumnarBatch::Compact() {

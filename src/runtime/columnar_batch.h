@@ -55,23 +55,9 @@ class ColumnarBatch {
   /// columnar -> row-major boundary).
   Tuple RowTuple(size_t i) const;
 
-  /// Scatters the event at (slot, row) without building a Tuple — the
-  /// cheap gather the join probe uses to fill its scratch pair.
+  /// Scatters the event at (slot, row) without building a Tuple — how the
+  /// join's columnar ingest fills its row-major window stores.
   SimpleEvent RowEvent(size_t slot, size_t i) const;
-
-  /// Column-wise append of rows [begin, end) of `src` (same num_slots),
-  /// ignoring src's mask; appended rows start selected. One contiguous
-  /// insert per column — the SoA ingest path of stateful consumers.
-  void AppendRows(const ColumnarBatch& src, size_t begin, size_t end);
-
-  /// Drops the first `n` rows from every column (dead-prefix reclaim of
-  /// SoA window buffers).
-  void ErasePrefix(size_t n);
-
-  /// Stable-sorts rows [from, rows) by event time, applying one
-  /// permutation across all columns. Used by window stores when parallel
-  /// producers interleaved their (per-producer ordered) streams.
-  void StableSortByEventTime(size_t from);
 
   /// Drops every row whose mask byte is 0, keeping the survivors' order,
   /// and re-selects them. Returns the surviving row count.

@@ -182,8 +182,10 @@ std::string JobGraph::ToString() const {
     if (!node.outputs.empty()) {
       out += " ->";
       for (const Edge& edge : node.outputs) {
-        out += " " + std::to_string(edge.to) + ":" +
-               std::to_string(edge.input_port);
+        out += ' ';
+        out += std::to_string(edge.to);
+        out += ':';
+        out += std::to_string(edge.input_port);
         if (edge.partition != PartitionMode::kForward) {
           out += std::string("[") + PartitionModeToString(edge.partition) + "]";
         }

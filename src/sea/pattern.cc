@@ -110,7 +110,11 @@ std::string NodeToString(const PatternNode& node) {
     case PatternOp::kIter: {
       std::string out = "ITER" + std::to_string(node.iter_count);
       if (node.iter_unbounded) out += "+";
-      out += "(" + registry->Name(node.atom.type) + " " + node.atom.variable + ")";
+      out += '(';
+      out += registry->Name(node.atom.type);
+      out += ' ';
+      out += node.atom.variable;
+      out += ')';
       return out;
     }
     case PatternOp::kNseq: {

@@ -35,39 +35,53 @@ const char* LogicalOpKindToString(LogicalOpKind kind) {
 std::string LogicalOp::ToString(int indent) const {
   std::string pad(static_cast<size_t>(indent) * 2, ' ');
   std::string out = pad + LogicalOpKindToString(kind);
+  // Appends piecewise: GCC 12 reports a false -Wrestrict on
+  // `"(" + std::string`.
+  const auto parenthesized = [&out](const std::string& inner) {
+    out += '(';
+    out += inner;
+    out += ')';
+  };
   switch (kind) {
     case LogicalOpKind::kScan:
-      out += "(" + EventTypeRegistry::Global()->Name(scan_type) + ")";
+      parenthesized(EventTypeRegistry::Global()->Name(scan_type));
       break;
     case LogicalOpKind::kFilter:
-      out += "(" + predicate.ToString() + ")";
+      parenthesized(predicate.ToString());
       break;
     case LogicalOpKind::kKeyByAttr:
-      out += "(" + std::string(AttributeName(key_attr)) + ")";
+      parenthesized(AttributeName(key_attr));
       break;
     case LogicalOpKind::kKeyByConst:
-      out += "(" + std::to_string(const_key) + ")";
+      parenthesized(std::to_string(const_key));
       break;
     case LogicalOpKind::kWindowJoin:
-      out += "[W=" + std::to_string(window.size) +
-             ",s=" + std::to_string(window.slide) + "]";
-      if (!predicate.IsTrue()) out += "(" + predicate.ToString() + ")";
+      out += "[W=";
+      out += std::to_string(window.size);
+      out += ",s=";
+      out += std::to_string(window.slide);
+      out += ']';
+      if (!predicate.IsTrue()) parenthesized(predicate.ToString());
       break;
     case LogicalOpKind::kIntervalJoin:
-      out += "[" + std::to_string(interval.lower) + "," +
-             std::to_string(interval.upper) + "]";
-      if (!predicate.IsTrue()) out += "(" + predicate.ToString() + ")";
+      out += '[';
+      out += std::to_string(interval.lower);
+      out += ',';
+      out += std::to_string(interval.upper);
+      out += ']';
+      if (!predicate.IsTrue()) parenthesized(predicate.ToString());
       break;
     case LogicalOpKind::kAggregate:
-      out += "(" + std::string(AggregateFnToString(aggregate_fn)) +
-             ", n>=" + std::to_string(min_count) + ")";
+      parenthesized(AggregateFnToString(aggregate_fn) +
+                    (", n>=" + std::to_string(min_count)));
       break;
     case LogicalOpKind::kIterChainApply:
-      out += "(chain>=" + std::to_string(min_count) + ")";
+      parenthesized("chain>=" + std::to_string(min_count));
       break;
     case LogicalOpKind::kNseqMark:
-      out += "(" + EventTypeRegistry::Global()->Name(nseq_positive) + " vs !" +
-             EventTypeRegistry::Global()->Name(nseq_negated) + ")";
+      parenthesized(EventTypeRegistry::Global()->Name(nseq_positive) +
+                    " vs !" +
+                    EventTypeRegistry::Global()->Name(nseq_negated));
       break;
     default:
       break;

@@ -56,6 +56,11 @@ struct LogicalOp {
   int64_t const_key = 0;                       // kKeyByConst
   SlidingWindowSpec window;                    // kWindowJoin/kAggregate/...
   bool dedup_pairs = false;                    // kWindowJoin: intermediate join
+  /// kWindowJoin: left slot of the SEQ order term `l.slot.ts < r.ts` the
+  /// join enforces as a range bound (-1 = none). Set only when the right
+  /// input is a leaf stream, whose event time is its event's ts; the term
+  /// stays in `predicate`.
+  int order_bound_slot = -1;
   IntervalBounds interval;                     // kIntervalJoin
   TimestampMode ts_mode = TimestampMode::kMax; // joins
   AggregateFn aggregate_fn = AggregateFn::kCount;  // kAggregate

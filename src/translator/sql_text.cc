@@ -63,7 +63,9 @@ void AppendConjunct(std::string* where, const std::string& conjunct) {
 
 std::string VarName(const PatternAtom& atom, int position) {
   if (!atom.variable.empty()) return atom.variable;
-  return "e" + std::to_string(position + 1);
+  std::string name = "e";
+  name += std::to_string(position + 1);
+  return name;
 }
 
 }  // namespace
@@ -168,8 +170,12 @@ Result<std::string> RenderSqlQuery(const Pattern& pattern) {
   }
 
   std::string out = "SELECT *\nFROM " + from;
-  if (!where.empty()) out += "\nWHERE " + where;
-  out += "\n" + WindowClause(pattern);
+  if (!where.empty()) {
+    out += "\nWHERE ";
+    out += where;
+  }
+  out += '\n';
+  out += WindowClause(pattern);
   return out;
 }
 

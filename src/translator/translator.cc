@@ -196,6 +196,25 @@ double EstimateRate(const BuildContext& ctx, const LogicalOp& node) {
   return ctx.stats->EffectiveRate(cursor->scan_type);
 }
 
+/// True when every output row of `op` is one unmodified source event, so
+/// its event time is that event's ts: a scan, optionally filtered and
+/// keyed, or a union of such (an OR operand).
+bool IsLeafStream(const LogicalOp& op) {
+  switch (op.kind) {
+    case LogicalOpKind::kScan:
+      return true;
+    case LogicalOpKind::kFilter:
+    case LogicalOpKind::kKeyByAttr:
+    case LogicalOpKind::kKeyByConst:
+      return IsLeafStream(*op.inputs[0]);
+    case LogicalOpKind::kUnion:
+      return std::all_of(op.inputs.begin(), op.inputs.end(),
+                         [](const auto& in) { return IsLeafStream(*in); });
+    default:
+      return false;
+  }
+}
+
 /// Builds a binary join of `left` and `right`. `ordered` selects SEQ
 /// adjacency semantics (every left-side event of the previous child
 /// precedes every right-side event); `adjacency_left_positions` holds the
@@ -211,6 +230,7 @@ std::unique_ptr<LogicalOp> BuildJoin(BuildContext* ctx,
 
   Predicate condition;
   const size_t left_arity = left->positions.size();
+  int order_bound_slot = -1;
 
   if (ordered) {
     // SEQ: temporal order between the adjacent children (Eq. 10 /
@@ -219,6 +239,12 @@ std::unique_ptr<LogicalOp> BuildJoin(BuildContext* ctx,
       auto it = std::find(left->positions.begin(), left->positions.end(), p);
       CEP2ASP_CHECK(it != left->positions.end());
       int left_idx = static_cast<int>(it - left->positions.begin());
+      // Against a leaf right side the first order term becomes the
+      // window join's range bound (its other terms stay residual).
+      if (order_bound_slot < 0 && right->positions.size() == 1 &&
+          IsLeafStream(*right)) {
+        order_bound_slot = left_idx;
+      }
       for (size_t r = 0; r < right->positions.size(); ++r) {
         condition.Add(Comparison::AttrAttr(
             AttrRef{left_idx, Attribute::kTs}, CmpOp::kLt,
@@ -268,6 +294,7 @@ std::unique_ptr<LogicalOp> BuildJoin(BuildContext* ctx,
     // duplicates do not multiply through the chain; the root join is
     // switched back to duplicate-emitting in MarkRootJoinComplete.
     join->dedup_pairs = true;
+    join->order_bound_slot = order_bound_slot;
     ctx->used_sliding_join = true;
   }
   join->predicate = std::move(condition);
@@ -715,7 +742,8 @@ Result<NodeId> CompileNode(const LogicalOp& op, CompileContext* ctx) {
     case LogicalOpKind::kWindowJoin: {
       NodeId id = graph->AddOperator(std::make_unique<SlidingWindowJoinOperator>(
           op.window, op.predicate, op.ts_mode,
-          op.dedup_pairs ? "win-join(dedup)" : "win-join", op.dedup_pairs));
+          op.dedup_pairs ? "win-join(dedup)" : "win-join", op.dedup_pairs,
+          op.order_bound_slot));
       const PartitionMode mode = KeyedInputMode(op, *ctx);
       CEP2ASP_RETURN_IF_ERROR(graph->Connect(inputs[0], id, 0, mode));
       CEP2ASP_RETURN_IF_ERROR(graph->Connect(inputs[1], id, 1, mode));

@@ -2,8 +2,12 @@
 // the job is driven — watermark cadence, state-sampling cadence, queue
 // capacities, or executor choice are operational knobs, not semantics.
 
+#include <atomic>
+#include <memory>
+
 #include <gtest/gtest.h>
 
+#include "asp/sliding_window_join.h"
 #include "runtime/threaded_executor.h"
 #include "tests/test_util.h"
 #include "translator/translator.h"
@@ -13,6 +17,51 @@ namespace cep2asp {
 namespace {
 
 constexpr Timestamp kMin = kMillisPerMinute;
+
+/// Forwards to a sliding-window join and adds its pairs_evaluated() to a
+/// total shared with every subtask clone when it finishes.
+class PairCountingJoin : public Operator {
+ public:
+  PairCountingJoin(std::unique_ptr<Operator> inner,
+                   std::shared_ptr<std::atomic<int64_t>> total)
+      : inner_(std::move(inner)), total_(std::move(total)) {}
+
+  std::string name() const override { return inner_->name(); }
+  OperatorTraits Traits() const override { return inner_->Traits(); }
+  int num_inputs() const override { return inner_->num_inputs(); }
+  Status Open() override { return inner_->Open(); }
+  Status Process(int input, Tuple tuple, Collector* out) override {
+    return inner_->Process(input, std::move(tuple), out);
+  }
+  Status ProcessBatch(int input, MessageBatch* batch, Collector* out) override {
+    return inner_->ProcessBatch(input, batch, out);
+  }
+  Status ProcessColumnar(int input, std::unique_ptr<ColumnarBatch> block,
+                         Collector* out) override {
+    return inner_->ProcessColumnar(input, std::move(block), out);
+  }
+  Status OnWatermark(Timestamp watermark, Collector* out) override {
+    return inner_->OnWatermark(watermark, out);
+  }
+  Status Finish(Collector* out) override {
+    Status status = inner_->Finish(out);
+    *total_ +=
+        static_cast<SlidingWindowJoinOperator&>(*inner_).pairs_evaluated();
+    return status;
+  }
+  size_t StateBytes() const override { return inner_->StateBytes(); }
+  void AttachSelectivityBound(double bound) override {
+    inner_->AttachSelectivityBound(bound);
+  }
+  std::unique_ptr<Operator> CloneForSubtask() const override {
+    return std::make_unique<PairCountingJoin>(inner_->CloneForSubtask(),
+                                              total_);
+  }
+
+ private:
+  std::unique_ptr<Operator> inner_;
+  std::shared_ptr<std::atomic<int64_t>> total_;
+};
 
 class InvarianceTest : public ::testing::Test {
  protected:
@@ -361,6 +410,60 @@ TEST_F(InvarianceTest, ColumnarTransferPreservesMatchMultisets) {
               << " task_scheduler=" << task_scheduler
               << " columnar=" << columnar;
         }
+      }
+    }
+  }
+}
+
+TEST_F(InvarianceTest, PairsEvaluatedInvariantAcrossParallelism) {
+  // With the SEQ order term as a range bound, the pairs a join enumerates
+  // are fixed by the event times alone: partitioning and arrival timing
+  // (intermediate watermarks included) change neither the per-key
+  // windows nor which right rows follow a left row, so the sum over
+  // subtasks must be identical at every parallelism.
+  struct Case {
+    const char* name;
+    Pattern pattern;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"SEQ", Seq3Keyed()});
+  cases.push_back({"ITER", Iter3Keyed()});
+
+  TranslatorOptions o3;
+  o3.use_equi_join_keys = true;
+  for (const Case& c : cases) {
+    int64_t reference = -1;
+    for (int parallelism : {1, 4}) {
+      for (int watermark_interval : {7, 256}) {
+        TranslatorOptions opt = o3;
+        opt.parallelism = parallelism;
+        auto compiled =
+            TranslatePattern(c.pattern, opt, workload_.MakeSourceFactory());
+        ASSERT_TRUE(compiled.ok()) << compiled.status();
+        auto total = std::make_shared<std::atomic<int64_t>>(0);
+        int joins = 0;
+        for (NodeId id = 0; id < compiled->graph.num_nodes(); ++id) {
+          JobGraph::Node& node = compiled->graph.mutable_node(id);
+          if (node.is_source() ||
+              dynamic_cast<SlidingWindowJoinOperator*>(node.op.get()) ==
+                  nullptr) {
+            continue;
+          }
+          node.op = std::make_unique<PairCountingJoin>(std::move(node.op),
+                                                       total);
+          ++joins;
+        }
+        ASSERT_EQ(joins, 2) << c.name;
+        ThreadedExecutorOptions options;
+        options.watermark_interval = watermark_interval;
+        ThreadedExecutor executor(&compiled->graph, options);
+        ExecutionResult result = executor.Run(compiled->sink);
+        ASSERT_TRUE(result.ok) << c.name << ": " << result.error;
+        ASSERT_GT(total->load(), 0) << c.name;
+        if (reference < 0) reference = total->load();
+        EXPECT_EQ(total->load(), reference)
+            << c.name << " parallelism=" << parallelism
+            << " watermark_interval=" << watermark_interval;
       }
     }
   }

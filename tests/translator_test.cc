@@ -147,6 +147,105 @@ TEST_F(TranslatorTest, NseqMapsToUnionMarkJoin) {
   EXPECT_EQ(plan.root->CountKind(LogicalOpKind::kWindowJoin), 1);
 }
 
+/// Window joins of `op`'s subtree, root first.
+void CollectWindowJoins(const LogicalOp& op,
+                        std::vector<const LogicalOp*>* out) {
+  if (op.kind == LogicalOpKind::kWindowJoin) out->push_back(&op);
+  for (const auto& input : op.inputs) CollectWindowJoins(*input, out);
+}
+
+std::vector<int> BoundSlots(const LogicalPlan& plan) {
+  std::vector<const LogicalOp*> joins;
+  CollectWindowJoins(*plan.root, &joins);
+  std::vector<int> slots;
+  for (const LogicalOp* join : joins) slots.push_back(join->order_bound_slot);
+  return slots;
+}
+
+std::unique_ptr<PatternNode> Composite(PatternOp op,
+                                       std::unique_ptr<PatternNode> first,
+                                       std::unique_ptr<PatternNode> second) {
+  auto node = std::make_unique<PatternNode>();
+  node->op = op;
+  node->children.push_back(std::move(first));
+  node->children.push_back(std::move(second));
+  return node;
+}
+
+TEST_F(TranslatorTest, OrderBoundMarksOrderedJoinsWithLeafRight) {
+  Translator translator;
+  // SEQ(A, B, C): join(A, B) bounds on A (slot 0); the root join bounds
+  // its leaf C on B, slot 1 of the (A, B) partial match.
+  Pattern seq = PatternBuilder()
+                    .Seq(PatternBuilder::Atom(a_, "e1"),
+                         PatternBuilder::Atom(b_, "e2"),
+                         PatternBuilder::Atom(c_, "e3"))
+                    .Within(5 * kMin)
+                    .Build()
+                    .ValueOrDie();
+  EXPECT_EQ(BoundSlots(translator.ToLogicalPlan(seq).ValueOrDie()),
+            (std::vector<int>{1, 0}));
+
+  Pattern iter = PatternBuilder()
+                     .Root(PatternBuilder::Iter(a_, "v", 4))
+                     .Within(5 * kMin)
+                     .Build()
+                     .ValueOrDie();
+  EXPECT_EQ(BoundSlots(translator.ToLogicalPlan(iter).ValueOrDie()),
+            (std::vector<int>{2, 1, 0}));
+
+  Pattern nseq = PatternBuilder()
+                     .Nseq({a_, "e1", {}}, {b_, "e2", {}}, {c_, "e3", {}})
+                     .Within(5 * kMin)
+                     .Build()
+                     .ValueOrDie();
+  EXPECT_EQ(BoundSlots(translator.ToLogicalPlan(nseq).ValueOrDie()),
+            (std::vector<int>{0}));
+
+  // The physical join keeps the whole condition for the analyzer.
+  LogicalPlan plan = translator.ToLogicalPlan(seq).ValueOrDie();
+  EXPECT_EQ(plan.root->predicate.terms().size(), 1u);
+}
+
+TEST_F(TranslatorTest, OrderBoundSkipsUnorderedAndNonLeafRight) {
+  Translator translator;
+  Pattern conj = PatternBuilder()
+                     .And(PatternBuilder::Atom(a_, "e1"),
+                          PatternBuilder::Atom(b_, "e2"),
+                          PatternBuilder::Atom(c_, "e3"))
+                     .Within(5 * kMin)
+                     .Build()
+                     .ValueOrDie();
+  EXPECT_EQ(BoundSlots(translator.ToLogicalPlan(conj).ValueOrDie()),
+            (std::vector<int>{-1, -1}));
+
+  // SEQ(A, AND(B, C)): the root join's right input is a composite whose
+  // event time is a partial match's, not one event's ts.
+  Pattern composite =
+      PatternBuilder()
+          .Seq(PatternBuilder::Atom(a_, "e1"),
+               Composite(PatternOp::kAnd, PatternBuilder::Atom(b_, "e2"),
+                         PatternBuilder::Atom(c_, "e3")))
+          .Within(5 * kMin)
+          .Build()
+          .ValueOrDie();
+  EXPECT_EQ(BoundSlots(translator.ToLogicalPlan(composite).ValueOrDie()),
+            (std::vector<int>{-1, -1}));
+
+  // SEQ(A, ITER3(B)) under O2: the right input is a window aggregate.
+  TranslatorOptions o2;
+  o2.use_aggregation_for_iter = true;
+  Pattern aggregate = PatternBuilder()
+                          .Seq(PatternBuilder::Atom(a_, "e1"),
+                               PatternBuilder::Iter(b_, "v", 3))
+                          .Within(5 * kMin)
+                          .Build()
+                          .ValueOrDie();
+  LogicalPlan plan = Translator(o2).ToLogicalPlan(aggregate).ValueOrDie();
+  ASSERT_EQ(plan.root->CountKind(LogicalOpKind::kAggregate), 1);
+  EXPECT_EQ(BoundSlots(plan), (std::vector<int>{-1}));
+}
+
 TEST_F(TranslatorTest, O1ReplacesWindowJoinsWithIntervalJoins) {
   TranslatorOptions options;
   options.use_interval_join = true;
