@@ -136,76 +136,52 @@ int Main(int argc, char** argv) {
   std::printf("running measured column on the threaded engine (%u core%s)...\n",
               cores, cores == 1 ? "" : "s");
   Pattern keyed = KeyedSeq3();
-  // Two engine variants per parallelism level: the task-pool scheduler
-  // ("measured") and the legacy thread-per-subtask executor
-  // ("measured-legacy") — the scheduler A/B on the same plan and data.
-  struct EngineVariant {
-    const char* name;
-    bool task_scheduler;
-  };
-  constexpr EngineVariant kVariants[] = {
-      {"measured", true},
-      {"measured-legacy", false},
-  };
-  double measured_base[2] = {0, 0};  // indexed by variant
+  double measured_base = 0;
   double measured_p4 = 0;
   int64_t base_matches = -1;
   for (int parallelism : {1, 2, 4}) {
-    for (size_t variant = 0; variant < 2; ++variant) {
-      const EngineVariant& v = kVariants[variant];
-      TranslatorOptions o3;
-      o3.use_equi_join_keys = true;
-      o3.parallelism = parallelism;
-      Workload workload = MakeKeyedWorkload(scale);
-      auto compiled = TranslatePattern(keyed, o3, workload.MakeSourceFactory(),
-                                       /*store_matches=*/false);
-      CEP2ASP_CHECK(compiled.ok()) << compiled.status();
-      const char* engine = v.name;
-      ThreadedExecutorOptions exec_options;
-      exec_options.use_task_scheduler = v.task_scheduler;
-      ThreadedExecutor executor(&compiled->graph, exec_options);
-      ExecutionResult result = executor.Run(compiled->sink);
-      char speedup[32], skew[32];
-      if (!result.ok) {
-        table.AddRow({"SEQ3eq", std::to_string(parallelism), "FASP-O3",
-                      engine, "-", "-", "-", result.error});
-        continue;
-      }
-      double& base = measured_base[variant];
-      if (parallelism == 1) {
-        base = result.throughput_tps();
-        if (variant == 0) base_matches = result.matches_emitted;
-      }
-      if (parallelism == 4 && variant == 0) {
-        measured_p4 = result.throughput_tps();
-      }
-      std::snprintf(speedup, sizeof(speedup), "%.2fx",
-                    base > 0 ? result.throughput_tps() / base : 0.0);
-      double max_imbalance = 0;
-      for (const PartitionSkew& s : result.partition_skew) {
-        max_imbalance = std::max(max_imbalance, s.imbalance());
-      }
-      std::snprintf(skew, sizeof(skew), "%.2f", max_imbalance);
-      const bool same_matches =
-          base_matches < 0 || result.matches_emitted == base_matches;
-      table.AddRow({"SEQ3eq", std::to_string(parallelism), "FASP-O3", engine,
-                    FormatTps(result.throughput_tps()), speedup,
-                    parallelism > 1 ? skew : "-",
-                    same_matches ? "ok" : "MATCH COUNT DIVERGED"});
+    TranslatorOptions o3;
+    o3.use_equi_join_keys = true;
+    o3.parallelism = parallelism;
+    Workload workload = MakeKeyedWorkload(scale);
+    auto compiled = TranslatePattern(keyed, o3, workload.MakeSourceFactory(),
+                                     /*store_matches=*/false);
+    CEP2ASP_CHECK(compiled.ok()) << compiled.status();
+    ThreadedExecutor executor(&compiled->graph);
+    ExecutionResult result = executor.Run(compiled->sink);
+    char speedup[32], skew[32];
+    if (!result.ok) {
+      table.AddRow({"SEQ3eq", std::to_string(parallelism), "FASP-O3",
+                    "measured", "-", "-", "-", result.error});
+      continue;
     }
+    if (parallelism == 1) {
+      measured_base = result.throughput_tps();
+      base_matches = result.matches_emitted;
+    }
+    if (parallelism == 4) measured_p4 = result.throughput_tps();
+    std::snprintf(speedup, sizeof(speedup), "%.2fx",
+                  measured_base > 0 ? result.throughput_tps() / measured_base
+                                    : 0.0);
+    double max_imbalance = 0;
+    for (const PartitionSkew& s : result.partition_skew) {
+      max_imbalance = std::max(max_imbalance, s.imbalance());
+    }
+    std::snprintf(skew, sizeof(skew), "%.2f", max_imbalance);
+    const bool same_matches =
+        base_matches < 0 || result.matches_emitted == base_matches;
+    table.AddRow({"SEQ3eq", std::to_string(parallelism), "FASP-O3",
+                  "measured", FormatTps(result.throughput_tps()), speedup,
+                  parallelism > 1 ? skew : "-",
+                  same_matches ? "ok" : "MATCH COUNT DIVERGED"});
   }
 
   table.Print();
-  if (measured_base[0] > 0 && measured_p4 > 0) {
+  if (measured_base > 0 && measured_p4 > 0) {
     std::printf(
         "\nmeasured speedup P4/P1: %.2fx on %u host core%s (simulator models "
         "4 workers x 16 slots; expect ~1x when cores <= 1)\n",
-        measured_p4 / measured_base[0], cores, cores == 1 ? "" : "s");
-  }
-  if (measured_base[0] > 0 && measured_base[1] > 0) {
-    std::printf(
-        "scheduler delta at P1 (task pool vs legacy threads): %.2fx\n",
-        measured_base[0] / measured_base[1]);
+        measured_p4 / measured_base, cores, cores == 1 ? "" : "s");
   }
   CEP2ASP_CHECK_OK(table.WriteCsv("fig6_scalability"));
   return 0;

@@ -117,10 +117,6 @@ constexpr CodeInfo kRegistry[] = {
      "forward edge between operators was not fused into a chain (fan-out, "
      "fan-in, parallelism mismatch, or chaining opt-out); it pays a real "
      "exchange channel"},
-    {DiagnosticCode::kGraphScheduleOversubscribed, DiagnosticSeverity::kInfo,
-     "legacy thread-per-subtask execution would spawn more OS threads than "
-     "hardware cores; the task scheduler multiplexes the same subtasks onto "
-     "a fixed worker pool instead"},
     {DiagnosticCode::kGraphExprCompilation, DiagnosticSeverity::kInfo,
      "per-node expression-execution report: whether a filter/map runs "
      "compiled ExprProgram bytecode or the interpreted fallback, and why"},

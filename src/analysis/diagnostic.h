@@ -69,7 +69,8 @@ enum class DiagnosticCode : int {
   kGraphParallelismExceedsKeys = 313,  // W: parallelism > distinct keys
   kGraphParallelUnsupported = 314,  // E: parallelism > 1 where unsupported
   kGraphForwardEdgeNotChained = 315,// I: forward edge left unfused (why)
-  kGraphScheduleOversubscribed = 316,  // I: legacy threads > hardware cores
+  // 316 is retired (it flagged the removed thread-per-subtask engine
+  // oversubscribing the host); the number is not reused.
   kGraphExprCompilation = 317,      // I: filter/map expression-exec report
   kGraphFilterAlwaysFalse = 318,    // E: filter provably rejects everything
   kGraphFilterAlwaysTrue = 319,     // W: filter provably passes everything

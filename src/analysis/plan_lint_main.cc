@@ -16,8 +16,7 @@
 //                          I317 reports on which filter/map nodes run
 //                          compiled ExprProgram bytecode vs interpreted
 //   plan_lint --schedule   print the task/worker layout of every paper
-//                          pattern under every optimization set, plus I316
-//                          infos where legacy threading would oversubscribe
+//                          pattern under every optimization set
 //   plan_lint --ranges     run the interval range pass over every paper
 //                          pattern x option set (and the FCEP baseline)
 //                          against the preset workloads' measured source
@@ -223,9 +222,8 @@ int PrintPaperChains() {
 }
 
 /// Prints the scheduler's task layout for one pattern under one option
-/// set — one task per source plus one per (chain, subtask) — followed by
-/// the I316 finding when legacy thread-per-subtask execution would
-/// oversubscribe this host. Purely informational, like --chains.
+/// set — one task per source plus one per (chain, subtask) — and the
+/// worker-pool size. Purely informational, like --chains.
 void PrintSchedule(const std::string& name, const Pattern& pattern,
                    const OptionSet& set) {
   auto stub_sources = [](EventTypeId type) {
@@ -242,7 +240,6 @@ void PrintSchedule(const std::string& name, const Pattern& pattern,
   const JobGraph& graph = query.ValueOrDie().graph;
   std::printf("%s x %s:\n", name.c_str(), set.name);
   std::printf("%s", ScheduleToString(graph).c_str());
-  PrintReport(AnalyzeSchedule(graph, /*use_task_scheduler=*/false));
 }
 
 int PrintPaperSchedule() {

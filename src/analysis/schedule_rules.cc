@@ -13,20 +13,6 @@ std::string NodeName(const JobGraph& graph, NodeId id) {
                           : node.op->name();
 }
 
-/// Threads the legacy path spawns: one per source node, one per
-/// (chain, subtask instance) — the chain head's parallelism decides the
-/// subtask count for the whole chain.
-int LegacyThreadCount(const JobGraph& graph, const ChainLayout& layout) {
-  int threads = 0;
-  for (NodeId id = 0; id < graph.num_nodes(); ++id) {
-    if (graph.node(id).is_source()) ++threads;
-  }
-  for (const std::vector<NodeId>& chain : layout.chains) {
-    threads += graph.parallelism(chain.front());
-  }
-  return threads;
-}
-
 int ResolveHardwareThreads(int hardware_threads) {
   if (hardware_threads > 0) return hardware_threads;
   const unsigned hw = std::thread::hardware_concurrency();
@@ -34,25 +20,6 @@ int ResolveHardwareThreads(int hardware_threads) {
 }
 
 }  // namespace
-
-DiagnosticReport AnalyzeSchedule(const JobGraph& graph,
-                                 bool use_task_scheduler,
-                                 int hardware_threads) {
-  DiagnosticReport report;
-  if (use_task_scheduler) return report;
-  const ChainLayout layout = ComputeChainLayout(graph);
-  const int threads = LegacyThreadCount(graph, layout);
-  const int cores = ResolveHardwareThreads(hardware_threads);
-  if (threads <= cores) return report;
-  report.Add(DiagnosticCode::kGraphScheduleOversubscribed, "job graph",
-             "legacy thread-per-subtask execution spawns " +
-                 std::to_string(threads) + " threads on " +
-                 std::to_string(cores) +
-                 " hardware threads; enable the task scheduler to multiplex " +
-                 std::to_string(threads) + " tasks onto a pool of " +
-                 std::to_string(cores) + " workers");
-  return report;
-}
 
 std::string ScheduleToString(const JobGraph& graph, int worker_threads) {
   const ChainLayout layout = ComputeChainLayout(graph);
@@ -79,8 +46,7 @@ std::string ScheduleToString(const JobGraph& graph, int worker_threads) {
   }
   const int workers = ResolveHardwareThreads(worker_threads);
   out += "  tasks: " + std::to_string(task) + ", worker pool: " +
-         std::to_string(workers) + ", legacy threads: " +
-         std::to_string(LegacyThreadCount(graph, layout)) + "\n";
+         std::to_string(workers) + "\n";
   return out;
 }
 

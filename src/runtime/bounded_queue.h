@@ -2,34 +2,25 @@
 #define CEP2ASP_RUNTIME_BOUNDED_QUEUE_H_
 
 #include <algorithm>
-#include <chrono>
-#include <cstdint>
 #include <deque>
-#include <optional>
 #include <vector>
 
-#include "analysis/check_invariants.h"
-#include "common/logging.h"
 #include "common/thread_annotations.h"
 
 namespace cep2asp {
 
-/// \brief Blocking bounded multi-producer multi-consumer queue.
+/// \brief Bounded multi-producer multi-consumer queue with a non-blocking
+/// batch protocol.
 ///
 /// The capacity bound is what creates backpressure in the threaded
-/// executor: a slow operator fills its input queue and stalls its
-/// producers, transitively throttling the sources (paper §5.2.4).
-///
-/// Besides the historical per-item Push/Pop, the queue moves whole batches
-/// under a single lock acquisition (PushBatch/PopBatch); capacity is always
-/// accounted in items, so batching changes the locking cadence but not the
-/// backpressure semantics (PushBatch of a 1-element batch is equivalent to
-/// Push).
+/// executor: a slow operator fills its input queue and its producers park
+/// on a credit, transitively throttling the sources (paper §5.2.4).
+/// Neither side ever waits here: TryPushN takes what fits, TryPopN takes
+/// what is there, and the task scheduler parks and wakes the tasks.
+/// Capacity is accounted in items.
 ///
 /// Locking discipline is annotated for Clang's thread-safety analysis:
-/// every touch of items_/closed_ holds mutex_, and the condition waits are
-/// explicit while loops over CondVar (the analysis cannot see through
-/// predicate lambdas).
+/// every touch of items_/closed_ holds mutex_.
 template <typename T>
 class BoundedQueue {
  public:
@@ -38,68 +29,12 @@ class BoundedQueue {
   BoundedQueue(const BoundedQueue&) = delete;
   BoundedQueue& operator=(const BoundedQueue&) = delete;
 
-  /// Blocks until space is available or the queue is closed. Returns false
-  /// if the queue was closed (item dropped).
-  bool Push(T item) {
-    MutexLock lock(mutex_);
-    while (items_.size() >= capacity_ && !closed_) not_full_.Wait(mutex_);
-    if (closed_) return false;
-    items_.push_back(std::move(item));
-#if CEP2ASP_CHECK_INVARIANTS
-    CEP2ASP_CHECK(items_.size() <= capacity_)
-        << "bounded queue holds " << items_.size()
-        << " items over capacity " << capacity_;
-#endif
-    not_empty_.NotifyOne();
-    return true;
-  }
-
-  /// Moves all of `*batch` into the queue under one lock, blocking until
-  /// the whole batch fits (a batch larger than the capacity is admitted
-  /// once the queue is empty, so it cannot deadlock). On success the batch
-  /// is left empty for reuse. Returns false when the queue was closed
-  /// (items dropped). `blocked_nanos`, when non-null, accumulates the time
-  /// spent waiting for space.
-  bool PushBatch(std::vector<T>* batch, int64_t* blocked_nanos = nullptr) {
-    if (batch->empty()) return true;
-    const size_t need = std::min(batch->size(), capacity_);
-    MutexLock lock(mutex_);
-    if (items_.size() + need > capacity_ && !closed_) {
-      const auto t0 = std::chrono::steady_clock::now();
-      while (items_.size() + need > capacity_ && !closed_) {
-        not_full_.Wait(mutex_);
-      }
-      if (blocked_nanos) {
-        *blocked_nanos += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
-      }
-    }
-    if (closed_) return false;
-#if CEP2ASP_CHECK_INVARIANTS
-    const size_t pushed = batch->size();
-#endif
-    for (T& item : *batch) items_.push_back(std::move(item));
-    batch->clear();
-#if CEP2ASP_CHECK_INVARIANTS
-    // An over-capacity batch is admitted whole into an empty queue, so the
-    // bound is the larger of capacity and that batch.
-    CEP2ASP_CHECK(items_.size() <= std::max(capacity_, pushed))
-        << "bounded queue holds " << items_.size()
-        << " items over capacity " << capacity_ << " after a batch of "
-        << pushed;
-#endif
-    not_empty_.NotifyOne();
-    return true;
-  }
-
-  /// Non-blocking push for cooperative producers: moves out a maximal
-  /// prefix of `*batch` — up to the current free capacity — leaving the
-  /// moved-from elements in place, and returns how many were taken (the
-  /// caller erases that prefix; the Channel wrapper also counts it for
-  /// stats first). Never waits: a full queue returns 0 and the caller
-  /// parks on the scheduler instead of blocking an OS thread. `*closed`
-  /// reports the closed flag (nothing is taken once closed).
+  /// Moves out a maximal prefix of `items[0..n)` — up to the current free
+  /// capacity — leaving the moved-from elements in place, and returns how
+  /// many were taken (the caller erases that prefix; the Channel wrapper
+  /// also counts it for stats first). A full queue returns 0 and the
+  /// caller parks on the scheduler. `*closed` reports the closed flag
+  /// (nothing is taken once closed).
   size_t TryPushN(T* items, size_t n, bool* closed) {
     MutexLock lock(mutex_);
     *closed = closed_;
@@ -108,13 +43,11 @@ class BoundedQueue {
         capacity_ > items_.size() ? capacity_ - items_.size() : 0;
     const size_t k = std::min(free, n);
     for (size_t i = 0; i < k; ++i) items_.push_back(std::move(items[i]));
-    if (k > 0) not_empty_.NotifyOne();
     return k;
   }
 
-  /// Non-blocking pop for cooperative consumers: moves up to `max_items`
-  /// into `*out` (cleared first) and returns the number taken, without
-  /// ever waiting. 0 with `*end_of_stream == false` means the queue is
+  /// Moves up to `max_items` into `*out` (cleared first) and returns the
+  /// number taken. 0 with `*end_of_stream == false` means the queue is
   /// momentarily empty (park until a producer pushes); 0 with
   /// `*end_of_stream == true` means closed and fully drained.
   size_t TryPopN(std::vector<T>* out, size_t max_items, bool* end_of_stream) {
@@ -126,69 +59,20 @@ class BoundedQueue {
       out->push_back(std::move(items_.front()));
       items_.pop_front();
     }
-    if (k > 1) {
-      not_full_.NotifyAll();
-    } else if (k == 1) {
-      not_full_.NotifyOne();
-    } else if (closed_) {
-      *end_of_stream = true;
-    }
+    if (k == 0 && closed_) *end_of_stream = true;
     return k;
   }
 
-  /// Blocks until an item is available or the queue is closed and drained.
-  std::optional<T> Pop() {
-    MutexLock lock(mutex_);
-    while (items_.empty() && !closed_) not_empty_.Wait(mutex_);
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    not_full_.NotifyOne();
-    return item;
-  }
-
-  /// Moves up to `max_items` into `*out` (cleared first) under one lock,
-  /// blocking until at least one item is available. Returns the number
-  /// popped; 0 means the queue was closed and fully drained.
-  size_t PopBatch(std::vector<T>* out, size_t max_items) {
-    out->clear();
-    if (max_items == 0) return 0;
-    MutexLock lock(mutex_);
-    while (items_.empty() && !closed_) not_empty_.Wait(mutex_);
-    const size_t k = std::min(items_.size(), max_items);
-    for (size_t i = 0; i < k; ++i) {
-      out->push_back(std::move(items_.front()));
-      items_.pop_front();
-    }
-    if (k > 1) {
-      not_full_.NotifyAll();
-    } else if (k == 1) {
-      not_full_.NotifyOne();
-    }
-    return k;
-  }
-
-  /// Marks the queue closed; pending Pops drain remaining items, then
-  /// receive nullopt. Pushes after Close are rejected.
+  /// Marks the queue closed: TryPopN drains the remaining items, then
+  /// reports end-of-stream. Pushes after Close are rejected.
   void Close() {
     MutexLock lock(mutex_);
     closed_ = true;
-    not_empty_.NotifyAll();
-    not_full_.NotifyAll();
   }
-
-  size_t size() const {
-    MutexLock lock(mutex_);
-    return items_.size();
-  }
-
-  size_t capacity() const { return capacity_; }
 
  private:
   const size_t capacity_;
-  mutable Mutex mutex_;
-  CondVar not_empty_;
-  CondVar not_full_;
+  Mutex mutex_;
   std::deque<T> items_ CEP2ASP_GUARDED_BY(mutex_);
   bool closed_ CEP2ASP_GUARDED_BY(mutex_) = false;
 };

@@ -26,68 +26,21 @@ enum class TryPush : uint8_t {
 
 /// \brief One directed exchange channel feeding an operator's input.
 ///
-/// Producers hand over whole MessageBatches (one synchronization action per
-/// batch); the consumer drains up to a batch at a time. Capacity is
-/// accounted in messages, so backpressure semantics match the historical
-/// per-message queue: a batch of size 1 behaves bit-for-bit like the old
-/// `BoundedQueue<Message>::Push`.
+/// Producer and consumer tasks move whole MessageBatches (one
+/// synchronization action per batch) and never wait: a push moves the
+/// prefix that fits and reports the rest, a pop takes what is there. The
+/// task scheduler's readiness hooks turn those outcomes into parks and
+/// wakes. Capacity is accounted in messages, so a batch of size 1 has the
+/// backpressure of the historical per-message queue.
 ///
-/// Push-side counters (batches, messages, fill histogram, nanoseconds
-/// blocked on a full channel) are recorded per channel and surfaced through
+/// Push-side counters (batches, messages, tuples, columnar blocks, fill
+/// histogram) are recorded per channel and surfaced through
 /// ExecutionResult::channel_stats.
 class Channel {
  public:
   virtual ~Channel() = default;
 
-  /// Moves the contents of `*batch` into the channel, blocking while full.
-  /// On success the batch is left empty for reuse; returns false (batch
-  /// dropped) when the channel is closed.
-  ///
-  /// A batch with a valid header (see MessageBatch) has its messages
-  /// stamped with the header's port/slot here, folded into the loop that
-  /// already walks the batch for the tuple counter: the channel stores
-  /// flat Messages and pop boundaries do not align with push boundaries,
-  /// so the push boundary is the last point where the batch-level header
-  /// can still reach every message.
-  bool PushBatch(MessageBatch* batch) {
-    if (batch->empty()) return true;
-    const size_t fill = batch->size();
-    const bool stamp = batch->hdr_valid;
-    int64_t data = 0;
-    int64_t blocks = 0;
-    int64_t block_rows = 0;
-    for (Message& msg : *batch) {
-      if (stamp) {
-        msg.port = batch->hdr_port;
-        msg.slot = batch->hdr_slot;
-      }
-      if (msg.kind == MessageKind::kTuple) {
-        ++data;
-      } else if (msg.kind == MessageKind::kColumnar) {
-        data += msg.columnar_rows;  // a block counts its rows as tuples
-        ++blocks;
-        block_rows += msg.columnar_rows;
-      }
-    }
-    int64_t blocked = 0;
-    const bool ok = DoPushBatch(batch, &blocked);
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    messages_.fetch_add(static_cast<int64_t>(fill), std::memory_order_relaxed);
-    if (data > 0) tuples_.fetch_add(data, std::memory_order_relaxed);
-    if (blocks > 0) {
-      columnar_blocks_.fetch_add(blocks, std::memory_order_relaxed);
-      columnar_rows_.fetch_add(block_rows, std::memory_order_relaxed);
-    }
-    fill_hist_[ChannelStats::FillBucket(fill)].fetch_add(
-        1, std::memory_order_relaxed);
-    if (blocked > 0) {
-      blocked_push_nanos_.fetch_add(blocked, std::memory_order_relaxed);
-    }
-    return ok;
-  }
-
-  /// Non-blocking variant for cooperative (task-scheduled) producers:
-  /// moves a maximal prefix of `*batch` into the channel — possibly all of
+  /// Moves a maximal prefix of `*batch` into the channel — possibly all of
   /// it, possibly nothing — erases the moved prefix, and never waits.
   /// kBlocked means an unmoved suffix remains; the producing task parks
   /// and retries the same batch once the consumer returns credits. Pass
@@ -103,9 +56,13 @@ class Channel {
           1, std::memory_order_relaxed);
     }
     if (batch->hdr_valid) {
-      // Stamp from the batch header BEFORE handing elements to the ring:
-      // after DoTryPushBatch the moved prefix holds only husks. Re-stamping
-      // a retried suffix is idempotent.
+      // A batch with a valid header (see MessageBatch) has its messages
+      // stamped with the header's port/slot here: the channel stores flat
+      // Messages and pop boundaries do not align with push boundaries, so
+      // the push is the last point where the header reaches every message.
+      // Stamp BEFORE handing elements over: after DoTryPushBatch the moved
+      // prefix holds only husks. Re-stamping a retried suffix is
+      // idempotent.
       for (Message& msg : *batch) {
         msg.port = batch->hdr_port;
         msg.slot = batch->hdr_slot;
@@ -146,12 +103,7 @@ class Channel {
     return batch->empty() ? TryPush::kPushed : TryPush::kBlocked;
   }
 
-  /// Pops up to `max_messages` into `*out` (cleared first), blocking until
-  /// at least one message is available. Returns false when the channel is
-  /// closed and fully drained.
-  virtual bool PopBatch(MessageBatch* out, size_t max_messages) = 0;
-
-  /// Non-blocking pop for cooperative consumers. Returns the number of
+  /// Pops up to `max_messages` without waiting. Returns the number of
   /// messages moved into `*out` (cleared first). 0 with `*end_of_stream ==
   /// false` means momentarily empty — the consuming task parks until a
   /// producer pushes; 0 with `*end_of_stream == true` means closed and
@@ -177,12 +129,8 @@ class Channel {
     on_credit_ = std::move(on_credit);
   }
 
-  /// Consumer-side probe: true when no message is currently pending. Used
-  /// to flush partially filled output batches before blocking.
-  virtual bool Empty() const = 0;
-
-  /// Closes the channel: blocked producers unwind (PushBatch -> false), the
-  /// consumer drains what was already published and then sees end-of-data.
+  /// Closes the channel: later pushes report kClosed, the consumer drains
+  /// what was already published and then sees end-of-stream.
   virtual void Close() = 0;
 
   /// True when this channel runs on the lock-free SPSC fast path.
@@ -202,7 +150,6 @@ class Channel {
     stats.columnar_blocks = columnar_blocks_.load(std::memory_order_relaxed);
     stats.columnar_rows = columnar_rows_.load(std::memory_order_relaxed);
     stats.scattered_rows = scattered_rows_.load(std::memory_order_relaxed);
-    stats.blocked_push_nanos = blocked_push_nanos_.load(std::memory_order_relaxed);
     for (int i = 0; i < ChannelStats::kFillBuckets; ++i) {
       stats.fill_hist[i] = fill_hist_[i].load(std::memory_order_relaxed);
     }
@@ -210,8 +157,6 @@ class Channel {
   }
 
  protected:
-  virtual bool DoPushBatch(MessageBatch* batch, int64_t* blocked_nanos) = 0;
-
   /// Moves a maximal prefix of `items[0..n)` into the channel without
   /// waiting; returns the count moved and sets `*closed`.
   virtual size_t DoTryPushBatch(Message* items, size_t n, bool* closed) = 0;
@@ -236,32 +181,21 @@ class Channel {
   std::atomic<int64_t> columnar_blocks_{0};
   std::atomic<int64_t> columnar_rows_{0};
   std::atomic<int64_t> scattered_rows_{0};
-  std::atomic<int64_t> blocked_push_nanos_{0};
   std::atomic<int64_t> fill_hist_[ChannelStats::kFillBuckets] = {};
   std::function<void()> on_push_;
   std::function<void()> on_credit_;
 };
 
-/// Mutex+condvar channel over BoundedQueue: the multi-producer fallback,
-/// used when more than one upstream node feeds the same operator input.
+/// Mutex channel over BoundedQueue: used when more than one producer
+/// subtask feeds the same operator input.
 class MpmcChannel : public Channel {
  public:
   explicit MpmcChannel(size_t capacity_messages) : queue_(capacity_messages) {}
 
-  bool PopBatch(MessageBatch* out, size_t max_messages) override {
-    out->hdr_valid = false;
-    return queue_.PopBatch(out, max_messages) > 0;
-  }
-
-  bool Empty() const override { return queue_.size() == 0; }
   void Close() override { queue_.Close(); }
   bool is_spsc() const override { return false; }
 
  protected:
-  bool DoPushBatch(MessageBatch* batch, int64_t* blocked_nanos) override {
-    return queue_.PushBatch(batch, blocked_nanos);
-  }
-
   size_t DoTryPushBatch(Message* items, size_t n, bool* closed) override {
     return queue_.TryPushN(items, n, closed);
   }
@@ -281,20 +215,10 @@ class SpscChannel : public Channel {
  public:
   explicit SpscChannel(size_t capacity_messages) : ring_(capacity_messages) {}
 
-  bool PopBatch(MessageBatch* out, size_t max_messages) override {
-    out->hdr_valid = false;
-    return ring_.PopN(out, max_messages) > 0;
-  }
-
-  bool Empty() const override { return ring_.Empty(); }
   void Close() override { ring_.Close(); }
   bool is_spsc() const override { return true; }
 
  protected:
-  bool DoPushBatch(MessageBatch* batch, int64_t* blocked_nanos) override {
-    return ring_.PushAll(batch, blocked_nanos);
-  }
-
   size_t DoTryPushBatch(Message* items, size_t n, bool* closed) override {
     return ring_.TryPushN(items, n, closed);
   }

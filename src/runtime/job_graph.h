@@ -87,7 +87,7 @@ class JobGraph {
   /// Enables/disables operator chaining at node `id` (operators only,
   /// default on). With chaining off the node always runs as its own
   /// subtask, ending any chain at both its in- and out-edge; useful for
-  /// isolating a heavy operator on its own thread or for A/B runs.
+  /// isolating a heavy operator in its own task or for A/B runs.
   Status SetChaining(NodeId id, bool enabled);
 
   /// Validates the topology by running the analyzer's job-graph lint pass

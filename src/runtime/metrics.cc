@@ -44,11 +44,10 @@ std::string ChannelStats::ToString() const {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "->%s[%d] %s batches=%lld msgs=%lld tuples=%lld "
-                "avg_fill=%.1f blocked=%.3fms",
+                "avg_fill=%.1f",
                 consumer.c_str(), subtask, spsc ? "spsc" : "mpmc",
                 static_cast<long long>(batches), static_cast<long long>(messages),
-                static_cast<long long>(tuples), avg_fill(),
-                static_cast<double>(blocked_push_nanos) / 1e6);
+                static_cast<long long>(tuples), avg_fill());
   std::string out = buf;
   if (columnar_blocks > 0 || scattered_rows > 0) {
     char cbuf[128];
@@ -114,7 +113,7 @@ double SchedulerStats::quantum_utilization() const {
 }
 
 std::string SchedulerStats::ToString() const {
-  if (!used) return "scheduler: legacy thread-per-subtask";
+  if (!used) return "scheduler: none (single-threaded executor)";
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "scheduler: workers=%d tasks=%d quanta=%lld steals=%lld "

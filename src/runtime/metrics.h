@@ -29,9 +29,9 @@ struct LatencyStats {
 /// executor (the input of one operator), snapshot after the run.
 ///
 /// Makes the micro-batching win observable: `batches` vs `messages` shows
-/// the achieved amortization (avg_fill), the histogram shows whether
-/// batches actually fill, and `blocked_push_nanos` is the time producers
-/// spent stalled on backpressure.
+/// the achieved amortization (avg_fill), and the histogram shows whether
+/// batches actually fill. Time producers spend parked on backpressure
+/// shows up as scheduler parks (SchedulerStats), not here.
 struct ChannelStats {
   std::string consumer;  // name of the operator this channel feeds
   int subtask = 0;       // consumer subtask instance (keyed parallelism)
@@ -56,7 +56,6 @@ struct ChannelStats {
   int64_t columnar_blocks = 0;
   int64_t columnar_rows = 0;
   int64_t scattered_rows = 0;
-  int64_t blocked_push_nanos = 0;
 
   /// fill_hist[b] counts pushed batches by fill level: bucket 0 holds
   /// single-message batches, bucket b>0 holds fills in (2^(b-1), 2^b],
@@ -96,11 +95,10 @@ struct PartitionSkew {
   std::string ToString() const;
 };
 
-/// \brief Counters of the task-based scheduler runtime: how the fixed
-/// worker pool multiplexed the (chain, subtask) operator tasks. Present in
-/// ExecutionResult when ThreadedExecutorOptions::use_task_scheduler ran
-/// the job (used == true); all-zero with used == false under the legacy
-/// thread-per-subtask path.
+/// \brief Counters of the task scheduler: how the fixed worker pool
+/// multiplexed the source and (chain, subtask) tasks. Filled in (used ==
+/// true) by the ThreadedExecutor; all-zero with used == false in results
+/// of the single-threaded PipelineExecutor, which runs no scheduler.
 struct SchedulerStats {
   bool used = false;
   int worker_threads = 0;    // fixed pool size the job ran on
@@ -162,8 +160,8 @@ struct ExecutionResult {
   /// of the threaded executor only).
   std::vector<PartitionSkew> partition_skew;
 
-  /// Worker-pool counters of the task-based scheduler (threaded executor
-  /// with use_task_scheduler; `scheduler.used` is false otherwise).
+  /// Worker-pool counters of the task scheduler (threaded executor only;
+  /// `scheduler.used` is false otherwise).
   SchedulerStats scheduler;
 
   /// Findings of the pre-run job-graph lint pass (analysis/graph_rules.h).

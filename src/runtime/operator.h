@@ -252,10 +252,12 @@ class Source {
 
   /// Absolute wall-clock instant (Clock::NowNanos domain) before which the
   /// next Next() call would block on pacing, or 0 when the source is ready
-  /// now. Cooperative executors consult this and park the source task on a
-  /// scheduler timer until the deadline instead of letting Next() sleep a
-  /// worker thread; thread-per-subtask executors may ignore it (Next()
-  /// still paces itself as a fallback).
+  /// now. The ThreadedExecutor consults this and parks the source task on
+  /// a scheduler timer until the deadline instead of letting Next() sleep
+  /// a worker thread. A source that reported no deadline over a whole
+  /// batch is probed once per batch from then on. The single-threaded
+  /// PipelineExecutor ignores it (Next() still paces itself as a
+  /// fallback).
   virtual int64_t PacingDeadlineNanos() const { return 0; }
 };
 

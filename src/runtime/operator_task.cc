@@ -31,11 +31,9 @@ PhysicalLayout::PhysicalLayout(const JobGraph& graph,
 RoutingCollector::RoutingCollector(const JobGraph* graph, NodeId node,
                                    int subtask, const PhysicalLayout* layout,
                                    std::vector<NodeChannels>* channels,
-                                   size_t batch_size, bool cooperative,
-                                   bool enable_columnar)
+                                   size_t batch_size, bool enable_columnar)
     : batch_size_(std::max<size_t>(1, batch_size)),
-      cur_batch_(std::max<size_t>(1, batch_size)),
-      cooperative_(cooperative) {
+      cur_batch_(std::max<size_t>(1, batch_size)) {
   const JobGraph::Node& producer = graph->node(node);
   for (size_t i = 0; i < producer.outputs.size(); ++i) {
     const JobGraph::Edge& edge = producer.outputs[i];
@@ -210,13 +208,6 @@ void RoutingCollector::Append(int t, Message msg) {
 void RoutingCollector::FlushTarget(int t) {
   Target& target = targets_[static_cast<size_t>(t)];
   if (target.pending.empty()) return;
-  if (!cooperative_) {
-    // A false return means the channel was closed (error unwind); the
-    // batch is dropped, matching the historical Push behavior.
-    target.channel->PushBatch(&target.pending);
-    target.pending.clear();
-    return;
-  }
   const bool first_attempt = !target.push_started;
   const TryPush outcome =
       target.channel->TryPushBatch(&target.pending, first_attempt);
@@ -239,7 +230,7 @@ void RoutingCollector::FlushTarget(int t) {
 void RoutingCollector::Flush() {
   for (size_t t = 0; t < targets_.size(); ++t) {
     Target& target = targets_[t];
-    if (!(cooperative_ && target.stuck)) FlushTarget(static_cast<int>(t));
+    if (!target.stuck) FlushTarget(static_cast<int>(t));
   }
 }
 
@@ -313,7 +304,7 @@ SourceTask::SourceTask(const TaskContext* ctx, NodeId node, Source* source)
       source_(source),
       label_("src:" + source->name()),
       router_(ctx->graph, node, /*subtask=*/0, ctx->layout, ctx->channels,
-              ctx->batch_size, /*cooperative=*/true, ctx->enable_columnar),
+              ctx->batch_size, ctx->enable_columnar),
       cur_batch_(std::max<size_t>(1, ctx->batch_size)) {
   staged_.reserve(cur_batch_);
 }
@@ -342,12 +333,11 @@ Quantum SourceTask::RunQuantum() {
     staged_.clear();
     bool paced = false;
     Tuple tuple;
+    // An unpaced source is probed once per batch: when it reports a
+    // deadline again, this batch takes the paced path below.
+    if (unpaced_ && source_->PacingDeadlineNanos() > 0) unpaced_ = false;
     if (unpaced_) {
-      // Confirmed-unpaced fast path: fill the batch with bare Next()
-      // calls, like the legacy source thread. (If such a source ever
-      // turns paced again, Next()'s documented self-pacing fallback
-      // still bounds its rate — it just blocks the worker like a legacy
-      // thread instead of timer-parking.)
+      // Unpaced fast path: fill the batch with bare Next() calls.
       while (staged_.size() < cur_batch_ && (more = source_->Next(&tuple))) {
         staged_.push_back(std::move(tuple));
       }
@@ -356,7 +346,7 @@ Quantum SourceTask::RunQuantum() {
       // the slack before its next tuple, hand the wait to the scheduler
       // timer instead of stalling this worker inside Next(). A source
       // that fills a whole batch without ever reporting a deadline is
-      // unpaced: drop the per-tuple virtual call from then on.
+      // unpaced: drop the per-tuple virtual call until the next probe.
       bool saw_deadline = false;
       while (staged_.size() < cur_batch_) {
         const int64_t due = source_->PacingDeadlineNanos();
@@ -455,8 +445,7 @@ ChainTask::ChainTask(const TaskContext* ctx,
       subtask_(subtask),
       ops_(std::move(ops)),
       router_(ctx->graph, chain_nodes->back(), subtask, ctx->layout,
-              ctx->channels, ctx->batch_size, /*cooperative=*/true,
-              ctx->enable_columnar),
+              ctx->channels, ctx->batch_size, ctx->enable_columnar),
       aligner_(
           ctx->layout->num_slots[static_cast<size_t>(chain_nodes->front())]),
       cur_batch_(std::max<size_t>(1, ctx->batch_size)) {
@@ -681,7 +670,7 @@ Quantum ChainTask::RunQuantum() {
     const size_t popped = input_->TryPopBatch(&in_, cur_batch_, &eos);
     if (popped == 0) {
       if (eos) {
-        // Closed under error unwind: abandon, mirroring the legacy break.
+        // Closed under error unwind: abandon the input.
         phase_ = Phase::kDone;
         break;
       }

@@ -53,14 +53,10 @@ struct PhysicalLayout {
 /// into the last, so the common case (one edge, one target) never
 /// deep-copies.
 ///
-/// Two delivery modes share the routing logic:
-///   - blocking (legacy thread-per-subtask): a full batch is pushed with
-///     Channel::PushBatch, stalling the producing OS thread on a full
-///     channel — the historical behavior;
-///   - cooperative (task scheduler): full batches go out via TryPushBatch;
-///     a full channel marks the target stuck and the pending buffer keeps
-///     the unmoved suffix, growing elastically until the owning task parks
-///     on a credit and TryFlushAll later drains it.
+/// Delivery never blocks: full batches go out via Channel::TryPushBatch;
+/// a full channel marks the target stuck and the pending buffer keeps the
+/// unmoved suffix, growing elastically until the owning task parks on a
+/// credit and TryFlushAll later drains it.
 ///
 /// Control messages (watermark/end) go to *every* consumer subtask of
 /// every out-edge regardless of the edge's partition mode, appended behind
@@ -79,7 +75,7 @@ class RoutingCollector : public Collector {
   RoutingCollector(const JobGraph* graph, NodeId node, int subtask,
                    const PhysicalLayout* layout,
                    std::vector<NodeChannels>* channels, size_t batch_size,
-                   bool cooperative, bool enable_columnar = false);
+                   bool enable_columnar = false);
 
   void Emit(Tuple tuple) override;
 
@@ -102,15 +98,15 @@ class RoutingCollector : public Collector {
   /// producers consult this before paying the gather.
   bool columnar_eligible() const { return columnar_ok_; }
 
-  /// Blocking mode: pushes every pending buffer. Cooperative mode: best
-  /// effort (TryFlushAll); the task checks stuck() afterwards.
+  /// Best-effort push of every pending buffer that is not already stuck;
+  /// the task checks stuck() afterwards.
   void Flush() override;
 
   /// Appends a control message behind the buffered tuples of every
-  /// physical target and flushes (best-effort when cooperative).
+  /// physical target and flushes (best effort).
   void EmitControl(MessageKind kind, Timestamp watermark);
 
-  /// Cooperative mode: attempts to drain every pending buffer. Returns
+  /// Attempts to drain every pending buffer, stuck ones included. Returns
   /// true when all of them are empty (no stuck target remains).
   bool TryFlushAll();
 
@@ -158,7 +154,6 @@ class RoutingCollector : public Collector {
 
   const size_t batch_size_;
   size_t cur_batch_;
-  const bool cooperative_;
   bool columnar_ok_ = false;
   /// Set while the EmitColumnar scatter shim runs, so Append attributes
   /// the per-row messages to the receiving channel's scattered_rows.
@@ -256,10 +251,10 @@ class SourceTask : public Task {
   size_t cur_batch_;
   int since_watermark_ = 0;
   bool exhausted_ = false;
-  /// Set once a full batch was staged without the source ever reporting a
-  /// pacing deadline: from then on batches are filled with bare Next()
-  /// calls (legacy source-thread behavior), skipping the per-tuple
-  /// deadline probe a throughput source never needs.
+  /// Set while the source reports no pacing deadline: batches are then
+  /// filled with bare Next() calls, skipping the per-tuple deadline probe
+  /// a throughput source never needs. Re-checked once per staged batch,
+  /// so a source that starts pacing later returns to the paced path.
   bool unpaced_ = false;
 
   Quantum Park(WakeKind kind, int batches, int64_t deadline_nanos = 0);
@@ -267,8 +262,7 @@ class SourceTask : public Task {
 
 /// \brief Cooperative task driving one (chain, subtask): pops batches from
 /// the chain head's input channel, runs the fused operators, aligns
-/// watermarks per slot (SlotAligner), and routes the tail's output — the
-/// task-scheduler counterpart of the legacy per-chain OS thread. Never
+/// watermarks per slot (SlotAligner), and routes the tail's output. Never
 /// blocks: an empty input parks it on kInput, a full output channel on
 /// kCredit.
 class ChainTask : public Task {

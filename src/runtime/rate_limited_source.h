@@ -51,7 +51,7 @@ class RateLimitedSource : public Source {
     return inner_->CurrentWatermark();
   }
 
-  /// The next tuple's scheduled slot, exposed so cooperative executors can
+  /// The next tuple's scheduled slot, exposed so the ThreadedExecutor can
   /// park until it on a scheduler timer — sleeping inside Next() would
   /// stall a whole worker and starve co-scheduled tasks. 0 before the
   /// first emission (the schedule anchors on the first Next call) and when

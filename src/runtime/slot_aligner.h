@@ -14,10 +14,8 @@ namespace cep2asp {
 /// One consumer subtask receives messages from `num_slots` physical
 /// channels (one slot per (in-edge, producer subtask) pair). The aligned
 /// watermark is the minimum of the per-slot maxima, and the input is
-/// exhausted once every slot delivered its end marker — the same protocol
-/// whether the consumer is a dedicated OS thread (legacy executor path) or
-/// a cooperative OperatorTask on the task scheduler. Extracting it keeps
-/// the two paths bit-for-bit identical.
+/// exhausted once every slot delivered its end marker. ChainTask runs one
+/// per (chain, subtask).
 class SlotAligner {
  public:
   explicit SlotAligner(int num_slots)

@@ -1,51 +1,15 @@
 #ifndef CEP2ASP_RUNTIME_SPSC_RING_H_
 #define CEP2ASP_RUNTIME_SPSC_RING_H_
 
+#include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <optional>
-#include <thread>
 #include <vector>
 
 #include "analysis/check_invariants.h"
 #include "common/logging.h"
 
 namespace cep2asp {
-
-namespace spsc_internal {
-
-/// Adaptive wait used when the ring is full/empty: a short spin (the other
-/// thread is usually mid-batch), then yields, then brief sleeps so a
-/// single-core host can schedule the peer thread.
-class Backoff {
- public:
-  void Pause() {
-    ++spins_;
-    if (spins_ < 16) {
-#if defined(__x86_64__) || defined(__i386__)
-      __builtin_ia32_pause();
-#endif
-    } else if (spins_ < 128) {
-      std::this_thread::yield();
-    } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-  }
-
-  void Reset() { spins_ = 0; }
-
- private:
-  int spins_ = 0;
-};
-
-inline int64_t SteadyNanos() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace spsc_internal
 
 /// \brief Lock-free bounded single-producer single-consumer ring buffer.
 ///
@@ -56,9 +20,11 @@ inline int64_t SteadyNanos() {
 /// cached copy of the opposite index so the steady state reads only its
 /// own line (the classic network-buffer channel design).
 ///
-/// Capacity is rounded up to a power of two. Close() unblocks both sides:
-/// a blocked producer drops its items and returns false, the consumer
-/// drains whatever was published and then sees end-of-stream.
+/// Neither side ever waits: TryPushN publishes what fits, TryPopN takes
+/// what is published, and the task scheduler parks and wakes the tasks.
+/// Capacity is rounded up to a power of two. After Close() pushes are
+/// rejected and the consumer drains whatever was published, then sees
+/// end-of-stream.
 template <typename T>
 class SpscRing {
  public:
@@ -74,61 +40,10 @@ class SpscRing {
 
   size_t capacity() const { return slots_.size(); }
 
-  /// Moves all of `items` into the ring, blocking while full; the batch is
-  /// published incrementally (chunks of whatever space frees up), so a
-  /// batch larger than the ring still goes through. On success `items` is
-  /// left empty for reuse. Returns false if the ring was closed (remaining
-  /// items dropped). `blocked_nanos`, when non-null, accumulates time spent
-  /// waiting for space.
-  bool PushAll(std::vector<T>* items, int64_t* blocked_nanos = nullptr) {
-    const size_t n = items->size();
-    size_t pushed = 0;
-    uint64_t tail = tail_.load(std::memory_order_relaxed);
-    while (pushed < n) {
-      size_t free = capacity() - static_cast<size_t>(tail - cached_head_);
-      if (free == 0) {
-        cached_head_ = head_.load(std::memory_order_acquire);
-        free = capacity() - static_cast<size_t>(tail - cached_head_);
-      }
-      if (free == 0) {
-        if (closed_.load(std::memory_order_acquire)) return false;
-        spsc_internal::Backoff backoff;
-        const int64_t t0 = blocked_nanos ? spsc_internal::SteadyNanos() : 0;
-        while (free == 0) {
-          if (closed_.load(std::memory_order_acquire)) {
-            if (blocked_nanos) *blocked_nanos += spsc_internal::SteadyNanos() - t0;
-            return false;
-          }
-          backoff.Pause();
-          cached_head_ = head_.load(std::memory_order_acquire);
-          free = capacity() - static_cast<size_t>(tail - cached_head_);
-        }
-        if (blocked_nanos) *blocked_nanos += spsc_internal::SteadyNanos() - t0;
-      }
-      const size_t chunk = std::min(free, n - pushed);
-      for (size_t i = 0; i < chunk; ++i) {
-        slots_[static_cast<size_t>(tail + i) & mask_] = std::move((*items)[pushed + i]);
-      }
-      tail += chunk;
-      tail_.store(tail, std::memory_order_release);
-      pushed += chunk;
-#if CEP2ASP_CHECK_INVARIANTS
-      CEP2ASP_CHECK(static_cast<size_t>(
-                        tail - head_.load(std::memory_order_acquire)) <=
-                    capacity())
-          << "spsc ring index accounting broken: more items in flight than "
-          << "capacity " << capacity();
-#endif
-    }
-    items->clear();
-    return true;
-  }
-
-  /// Non-blocking push for cooperative producers: publishes a maximal
-  /// prefix of `items[0..n)` — whatever fits the free space right now —
-  /// and returns how many were moved out (the caller erases the prefix).
-  /// Never spins or sleeps: a full ring returns 0 and the producing task
-  /// parks on a credit instead. `*closed` reports the closed flag.
+  /// Publishes a maximal prefix of `items[0..n)` — whatever fits the free
+  /// space right now — and returns how many were moved out (the caller
+  /// erases the prefix). A full ring returns 0 and the producing task
+  /// parks on a credit. `*closed` reports the closed flag.
   size_t TryPushN(T* items, size_t n, bool* closed) {
     *closed = closed_.load(std::memory_order_acquire);
     if (*closed || n == 0) return 0;
@@ -143,14 +58,20 @@ class SpscRing {
       slots_[static_cast<size_t>(tail + i) & mask_] = std::move(items[i]);
     }
     if (chunk > 0) tail_.store(tail + chunk, std::memory_order_release);
+#if CEP2ASP_CHECK_INVARIANTS
+    CEP2ASP_CHECK(static_cast<size_t>(
+                      tail + chunk - head_.load(std::memory_order_acquire)) <=
+                  capacity())
+        << "spsc ring index accounting broken: more items in flight than "
+        << "capacity " << capacity();
+#endif
     return chunk;
   }
 
-  /// Non-blocking pop for cooperative consumers: moves up to `max_items`
-  /// into `*out` (cleared first) and returns the number taken. 0 with
-  /// `*end_of_stream == false` means momentarily empty (the consuming
-  /// task parks until the producer pushes); 0 with `*end_of_stream ==
-  /// true` means closed and fully drained.
+  /// Moves up to `max_items` into `*out` (cleared first) and returns the
+  /// number taken. 0 with `*end_of_stream == false` means momentarily
+  /// empty (the consuming task parks until the producer pushes); 0 with
+  /// `*end_of_stream == true` means closed and fully drained.
   size_t TryPopN(std::vector<T>* out, size_t max_items, bool* end_of_stream) {
     out->clear();
     *end_of_stream = false;
@@ -162,8 +83,8 @@ class SpscRing {
       avail = static_cast<size_t>(cached_tail_ - head);
     }
     if (avail == 0) {
-      // Same drain protocol as PopN: tail is published before closed, so
-      // closed + one more tail refresh proves the ring is empty for good.
+      // The producer publishes tail before setting closed, so closed plus
+      // one more tail refresh proves the ring is empty for good.
       if (closed_.load(std::memory_order_acquire)) {
         cached_tail_ = tail_.load(std::memory_order_acquire);
         avail = static_cast<size_t>(cached_tail_ - head);
@@ -173,47 +94,6 @@ class SpscRing {
         }
       } else {
         return 0;
-      }
-    }
-    const size_t k = std::min(avail, max_items);
-    for (size_t i = 0; i < k; ++i) {
-      out->push_back(std::move(slots_[static_cast<size_t>(head + i) & mask_]));
-    }
-    head_.store(head + k, std::memory_order_release);
-    return k;
-  }
-
-  /// Convenience single-item push (one-element batch).
-  bool Push(T item) {
-    scratch_.clear();
-    scratch_.push_back(std::move(item));
-    return PushAll(&scratch_);
-  }
-
-  /// Moves up to `max_items` into `*out` (cleared first), blocking until at
-  /// least one item is available. Returns the number popped; 0 means the
-  /// ring was closed and fully drained.
-  size_t PopN(std::vector<T>* out, size_t max_items) {
-    out->clear();
-    if (max_items == 0) return 0;
-    const uint64_t head = head_.load(std::memory_order_relaxed);
-    size_t avail = static_cast<size_t>(cached_tail_ - head);
-    if (avail == 0) {
-      cached_tail_ = tail_.load(std::memory_order_acquire);
-      avail = static_cast<size_t>(cached_tail_ - head);
-      spsc_internal::Backoff backoff;
-      while (avail == 0) {
-        // The producer publishes tail before setting closed, so once we
-        // observe closed with an empty ring there is nothing left to drain.
-        if (closed_.load(std::memory_order_acquire)) {
-          cached_tail_ = tail_.load(std::memory_order_acquire);
-          if (cached_tail_ == head) return 0;
-          avail = static_cast<size_t>(cached_tail_ - head);
-          break;
-        }
-        backoff.Pause();
-        cached_tail_ = tail_.load(std::memory_order_acquire);
-        avail = static_cast<size_t>(cached_tail_ - head);
       }
     }
 #if CEP2ASP_CHECK_INVARIANTS
@@ -229,22 +109,7 @@ class SpscRing {
     return k;
   }
 
-  /// Convenience single-item pop.
-  std::optional<T> Pop() {
-    std::vector<T> one;
-    if (PopN(&one, 1) == 0) return std::nullopt;
-    return std::move(one.front());
-  }
-
-  /// True when no published item is pending (consumer-side view).
-  bool Empty() const {
-    return tail_.load(std::memory_order_acquire) ==
-           head_.load(std::memory_order_acquire);
-  }
-
   void Close() { closed_.store(true, std::memory_order_release); }
-
-  bool closed() const { return closed_.load(std::memory_order_acquire); }
 
  private:
   std::vector<T> slots_;
@@ -255,8 +120,6 @@ class SpscRing {
   alignas(64) std::atomic<uint64_t> tail_{0};   // next slot to fill (producer)
   alignas(64) uint64_t cached_head_ = 0;        // producer's view of head
   alignas(64) std::atomic<bool> closed_{false};
-
-  std::vector<T> scratch_;  // producer-only, for Push()
 };
 
 }  // namespace cep2asp

@@ -128,9 +128,8 @@ class WorkStealingDeque {
 
 /// \brief Fixed worker pool running cooperative tasks to completion.
 ///
-/// Replaces the executor's thread-per-subtask model: N workers (default
-/// hardware_concurrency) multiplex any number of (chain, subtask) tasks,
-/// so adding parallelism no longer adds OS threads. Backpressure is
+/// N workers (default hardware_concurrency) multiplex any number of
+/// (chain, subtask) tasks, so adding parallelism adds no OS threads. Backpressure is
 /// credit-based — a producer facing a full channel parks instead of
 /// blocking its worker, and the consumer's pop wakes it — so a worker
 /// thread is never wasted on a wait.

@@ -9,7 +9,6 @@
 #include "analysis/invariant_checker.h"
 #include "common/logging.h"
 #include "runtime/operator_task.h"
-#include "runtime/slot_aligner.h"
 #include "runtime/task_scheduler.h"
 
 namespace cep2asp {
@@ -55,15 +54,20 @@ ExecutionResult ThreadedExecutor::Run(const CollectSink* sink) {
     }
   }
 
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  const int workers = options_.worker_threads > 0 ? options_.worker_threads
+                      : hw > 0                    ? hw
+                                                  : 1;
+  TaskScheduler scheduler(workers);
+
   std::mutex status_mutex;
   Status run_status;  // guarded by status_mutex
-  // On error, close every channel so producers blocked on PushBatch and
-  // consumers blocked on PopBatch unwind instead of deadlocking on an
-  // abandoned edge; under the task scheduler, additionally wake every
-  // parked task (a closed channel alone does not resume a parked task).
-  TaskScheduler* scheduler_ptr = nullptr;  // set while the pool runs
+  // On error, close every channel so no task produces into or waits on an
+  // abandoned edge, and wake every parked task (a closed channel alone
+  // does not resume a parked task). Before the pool runs, WakeAll has no
+  // tasks to wake.
   auto record_error = [&status_mutex, &run_status, &channels,
-                       &scheduler_ptr](const Status& st) {
+                       &scheduler](const Status& st) {
     bool first = false;
     {
       std::lock_guard<std::mutex> lock(status_mutex);
@@ -75,7 +79,7 @@ ExecutionResult ThreadedExecutor::Run(const CollectSink* sink) {
         }
       }
     }
-    if (first && scheduler_ptr != nullptr) scheduler_ptr->WakeAll();
+    if (first) scheduler.WakeAll();
   };
 
   // Subtask instances: subtask 0 runs the graph's own operator, subtasks
@@ -130,397 +134,102 @@ ExecutionResult ThreadedExecutor::Run(const CollectSink* sink) {
     return ops;
   };
 
-  if (options_.use_task_scheduler) {
-    // -----------------------------------------------------------------
-    // Task-based scheduler: every source and every (chain, subtask) is a
-    // cooperative task on a fixed worker pool; channels signal readiness
-    // (push -> consumer, credit -> producers) instead of blocking.
-    // -----------------------------------------------------------------
-    const int hw = static_cast<int>(std::thread::hardware_concurrency());
-    const int workers = options_.worker_threads > 0 ? options_.worker_threads
-                        : hw > 0                    ? hw
-                                                    : 1;
-    TaskContext ctx;
-    ctx.graph = graph_;
-    ctx.layout = &layout;
-    ctx.channels = &channels;
-    ctx.fused_tuples = &fused_tuples;
-    ctx.batch_size = batch_size;
-    ctx.quantum_batches = std::max(1, options_.quantum_batches);
-    ctx.watermark_interval = options_.watermark_interval;
-    ctx.clock = clock;
-    ctx.invariants = invariants;
-    ctx.record_error = record_error;
-    ctx.tuples_ingested = &tuples_ingested;
-    ctx.enable_columnar = options_.enable_columnar;
+  // Every source and every (chain, subtask) is a cooperative task on a
+  // fixed worker pool; channels signal readiness (push -> consumer,
+  // credit -> producers) instead of blocking.
+  TaskContext ctx;
+  ctx.graph = graph_;
+  ctx.layout = &layout;
+  ctx.channels = &channels;
+  ctx.fused_tuples = &fused_tuples;
+  ctx.batch_size = batch_size;
+  ctx.quantum_batches = std::max(1, options_.quantum_batches);
+  ctx.watermark_interval = options_.watermark_interval;
+  ctx.clock = clock;
+  ctx.invariants = invariants;
+  ctx.record_error = record_error;
+  ctx.tuples_ingested = &tuples_ingested;
+  ctx.enable_columnar = options_.enable_columnar;
 
-    std::vector<std::unique_ptr<Task>> tasks;
-    // Producing task(s) of every node: sources have one task, operator
-    // nodes are driven by the task(s) of their chain. Used to wire credit
-    // hooks (a consumer pop wakes the producers of that channel).
-    std::vector<std::vector<Task*>> tasks_of_node(static_cast<size_t>(n));
-    // Consuming task per (chain head, subtask), indexed like `channels`.
-    std::vector<std::vector<Task*>> consumer_of(static_cast<size_t>(n));
+  std::vector<std::unique_ptr<Task>> tasks;
+  // Producing task(s) of every node: sources have one task, operator
+  // nodes are driven by the task(s) of their chain. Used to wire credit
+  // hooks (a consumer pop wakes the producers of that channel).
+  std::vector<std::vector<Task*>> tasks_of_node(static_cast<size_t>(n));
+  // Consuming task per (chain head, subtask), indexed like `channels`.
+  std::vector<std::vector<Task*>> consumer_of(static_cast<size_t>(n));
 
-    for (NodeId id = 0; id < n; ++id) {
-      JobGraph::Node& node = graph_->mutable_node(id);
-      if (!node.is_source()) continue;
-      tasks.push_back(std::make_unique<SourceTask>(&ctx, id, node.source.get()));
-      tasks_of_node[static_cast<size_t>(id)].push_back(tasks.back().get());
-    }
-    for (int c = 0; c < chain_layout.num_chains(); ++c) {
-      const std::vector<NodeId>& chain =
-          chain_layout.chains[static_cast<size_t>(c)];
-      const NodeId head = chain.front();
-      const int subtasks = graph_->parallelism(head);
-      consumer_of[static_cast<size_t>(head)].assign(
-          static_cast<size_t>(subtasks), nullptr);
-      for (int subtask = 0; subtask < subtasks; ++subtask) {
-        std::vector<Operator*> ops = open_chain(chain, subtask);
-        if (ops.empty()) continue;  // Open failed; channels already closed
-        tasks.push_back(
-            std::make_unique<ChainTask>(&ctx, &chain, subtask, std::move(ops)));
-        consumer_of[static_cast<size_t>(head)][static_cast<size_t>(subtask)] =
-            tasks.back().get();
-        for (NodeId id : chain) {
-          tasks_of_node[static_cast<size_t>(id)].push_back(tasks.back().get());
-        }
-      }
-    }
-
-    TaskScheduler scheduler(workers);
-    // Readiness hooks: a push wakes the channel's consumer task (it may be
-    // parked on empty input), a pop returns credits and wakes every task
-    // that routes into this channel (they may be parked on a full push).
-    for (NodeId to = 0; to < n; ++to) {
-      NodeChannels& node_channels = channels[static_cast<size_t>(to)];
-      if (node_channels.empty()) continue;
-      // Producers of (to, *): tasks of every node with an unfused edge
-      // into `to`. Unfused out-edges only exist on sources and chain
-      // tails, whose tasks own the RoutingCollector that pushes here.
-      std::vector<Task*> producers;
-      for (NodeId from = 0; from < n; ++from) {
-        const JobGraph::Node& from_node = graph_->node(from);
-        for (size_t i = 0; i < from_node.outputs.size(); ++i) {
-          if (from_node.outputs[i].to != to || chain_layout.fused(from, i)) {
-            continue;
-          }
-          for (Task* t : tasks_of_node[static_cast<size_t>(from)]) {
-            if (std::find(producers.begin(), producers.end(), t) ==
-                producers.end()) {
-              producers.push_back(t);
-            }
-          }
-        }
-      }
-      for (size_t s = 0; s < node_channels.size(); ++s) {
-        Task* consumer = consumer_of[static_cast<size_t>(to)][s];
-        node_channels[s]->SetReadinessHooks(
-            [&scheduler, consumer] {
-              if (consumer != nullptr) {
-                scheduler.Wake(consumer, WakeKind::kInput);
-              }
-            },
-            [&scheduler, producers] {
-              for (Task* producer : producers) {
-                scheduler.Wake(producer, WakeKind::kCredit);
-              }
-            });
-      }
-    }
-
-    std::vector<Task*> task_ptrs;
-    task_ptrs.reserve(tasks.size());
-    for (const std::unique_ptr<Task>& t : tasks) task_ptrs.push_back(t.get());
-    scheduler_ptr = &scheduler;
-    scheduler.Run(task_ptrs);
-    scheduler_ptr = nullptr;
-    result.scheduler = scheduler.ConsumeStats(ctx.quantum_batches);
-  } else {
-    // -----------------------------------------------------------------
-    // Legacy thread-per-subtask execution, kept for A/B comparison: one
-    // OS thread per source and per (chain, subtask), blocking channels.
-    // -----------------------------------------------------------------
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<size_t>(n));
-
-    for (NodeId id = 0; id < n; ++id) {
-      JobGraph::Node& node = graph_->mutable_node(id);
-      if (!node.is_source()) continue;
-      Source* source = node.source.get();
-      threads.emplace_back([&, id, source] {
-        RoutingCollector collector(graph_, id, /*subtask=*/0, &layout,
-                                   &channels, batch_size,
-                                   /*cooperative=*/false,
-                                   options_.enable_columnar);
-        std::vector<Tuple> staged;
-        staged.reserve(batch_size);
-        int since_watermark = 0;
-        // Adaptive staging: one create_ts stamp and one ingest-counter
-        // bump per batch. When the source is slow (rate-limited), filling
-        // a whole batch would sit on tuples, so the staging size halves
-        // whenever the previous batch took longer than the flush timeout
-        // and doubles back while the source keeps up.
-        size_t stage_target = batch_size;
-        const Timestamp flush_timeout = options_.source_flush_timeout_millis;
-        Timestamp last_stamp = clock->NowMillis();
-        bool more = true;
-        while (more) {
-          staged.clear();
-          Tuple tuple;
-          while (staged.size() < stage_target &&
-                 (more = source->Next(&tuple))) {
-            staged.push_back(std::move(tuple));
-          }
-          if (staged.empty()) break;
-          const Timestamp now = clock->NowMillis();
-          if (flush_timeout > 0 && batch_size > 1) {
-            if (now - last_stamp > flush_timeout) {
-              stage_target = std::max<size_t>(1, stage_target / 2);
-            } else if (stage_target < batch_size) {
-              stage_target = std::min(batch_size, stage_target * 2);
-            }
-          }
-          last_stamp = now;
-          for (Tuple& t : staged) {
-            for (size_t i = 0; i < t.size(); ++i) {
-              t.mutable_event(i).create_ts = now;
-            }
-          }
-          tuples_ingested.fetch_add(static_cast<int64_t>(staged.size()),
-                                    std::memory_order_relaxed);
-          bool gathered = false;
-          if (collector.columnar_eligible()) {
-            // SoA gather point (mirrors SourceTask): ship the staged rows
-            // as one column block when the arity is uniform.
-            bool uniform = true;
-            for (const Tuple& t : staged) {
-              if (t.size() != 1) {
-                uniform = false;
-                break;
-              }
-            }
-            if (uniform) {
-              auto block = std::make_unique<ColumnarBatch>(1);
-              block->Reserve(staged.size());
-              for (const Tuple& t : staged) block->AppendTuple(t);
-              collector.EmitColumnar(std::move(block));
-              gathered = true;
-            }
-          }
-          if (!gathered) {
-            for (Tuple& t : staged) collector.Emit(std::move(t));
-          }
-          since_watermark += static_cast<int>(staged.size());
-          if (since_watermark >= options_.watermark_interval) {
-            since_watermark = 0;
-            collector.EmitControl(MessageKind::kWatermark,
-                                  source->CurrentWatermark());
-          }
-        }
-        collector.EmitControl(MessageKind::kWatermark, kMaxTimestamp);
-        collector.EmitControl(MessageKind::kEnd, 0);
-      });
-    }
-
-    // One thread per (chain, subtask): the head drains its input channel,
-    // interior operators run inline behind it via ChainedCollectors, the
-    // tail's RoutingCollector routes into the next chains' channels.
-    for (int c = 0; c < chain_layout.num_chains(); ++c) {
-      const std::vector<NodeId>& chain =
-          chain_layout.chains[static_cast<size_t>(c)];
-      const NodeId head = chain.front();
-      const int subtasks = graph_->parallelism(head);
-      for (int subtask = 0; subtask < subtasks; ++subtask) {
-        std::vector<Operator*> ops = open_chain(chain, subtask);
-        if (ops.empty()) continue;
-        const int num_slots = layout.num_slots[static_cast<size_t>(head)];
-        threads.emplace_back([&, c, subtask, head, num_slots,
-                              ops = std::move(ops)]() mutable {
-          const std::vector<NodeId>& chain_nodes =
-              chain_layout.chains[static_cast<size_t>(c)];
-          RoutingCollector tail(graph_, chain_nodes.back(), subtask, &layout,
-                                &channels, batch_size, /*cooperative=*/false,
-                                options_.enable_columnar);
-          // Collector per chain position, built tail-first: the tail
-          // batches into real channels, every link hands to the next
-          // operator in-thread. `links` never reallocates (reserved), so
-          // the stored downstream pointers stay valid.
-          Status chain_status;
-          std::vector<ChainedCollector> links;
-          links.reserve(ops.size());
-          std::vector<Collector*> collectors(ops.size(), nullptr);
-          collectors.back() = &tail;
-          for (size_t i = ops.size() - 1; i >= 1; --i) {
-            const JobGraph::Edge& edge =
-                graph_->node(chain_nodes[i - 1]).outputs[0];
-            links.emplace_back(
-                ops[i], edge.input_port, collectors[i], &chain_status,
-                &fused_tuples[static_cast<size_t>(chain_nodes[i])]
-                             [static_cast<size_t>(subtask)],
-                invariants, chain_nodes[i], subtask);
-            collectors[i - 1] = &links.back();
-          }
-
-          // Watermarks and Finish cascade through the chain in operator
-          // order: each operator's OnWatermark/Finish emissions reach the
-          // downstream operators (through the links) *before* the control
-          // event is forwarded past them — the same order the unfused
-          // per-edge protocol guarantees.
-          auto cascade_watermark = [&](Timestamp wm) -> Status {
-            for (size_t i = 0; i < ops.size(); ++i) {
-              if (i > 0 && invariants != nullptr) {
-                invariants->OnPhysicalWatermark(chain_nodes[i], subtask,
-                                                subtask, wm);
-              }
-              Status st = ops[i]->OnWatermark(wm, collectors[i]);
-              if (!st.ok()) return st.WithContext(ops[i]->name());
-              if (!chain_status.ok()) return chain_status;
-            }
-            return Status::OK();
-          };
-          auto cascade_finish = [&]() -> Status {
-            for (size_t i = 0; i < ops.size(); ++i) {
-              Status st = ops[i]->Finish(collectors[i]);
-              if (!st.ok()) return st.WithContext(ops[i]->name());
-              if (!chain_status.ok()) return chain_status;
-            }
-            return Status::OK();
-          };
-
-          if (num_slots == 0) {
-            // No upstream at all (lint warns W306): nothing will ever
-            // arrive; run the shutdown protocol so downstream terminates.
-            Status st = cascade_watermark(kMaxTimestamp);
-            if (st.ok()) st = cascade_finish();
-            if (!st.ok()) record_error(st);
-            tail.EmitControl(MessageKind::kWatermark, kMaxTimestamp);
-            tail.EmitControl(MessageKind::kEnd, 0);
-            return;
-          }
-          SlotAligner aligner(num_slots);
-          Channel* input =
-              channels[static_cast<size_t>(head)][static_cast<size_t>(subtask)]
-                  .get();
-          MessageBatch in;
-          in.reserve(batch_size);
-          while (!aligner.done()) {
-            if (!input->PopBatch(&in, batch_size)) break;  // closed on error
-            // Steady-state fast path mirroring ChainTask::ProcessBatch: a
-            // homogeneous data batch goes to the head operator's
-            // ProcessBatch in one call (compiled heads run a tight loop).
-            bool homogeneous = !in.empty();
-            const int batch_port = homogeneous ? in.front().port : 0;
-            for (const Message& msg : in) {
-              if (msg.kind != MessageKind::kTuple || msg.port != batch_port) {
-                homogeneous = false;
-                break;
-              }
-            }
-            if (homogeneous) {
-              if (invariants != nullptr) {
-                for (const Message& msg : in) {
-                  invariants->OnPhysicalTuple(head, subtask, msg.slot,
-                                              msg.tuple);
-                }
-              }
-              Status st = ops.front()->ProcessBatch(batch_port, &in,
-                                                    collectors.front());
-              if (!st.ok()) {
-                st = st.WithContext(ops.front()->name());
-              } else if (!chain_status.ok()) {
-                st = chain_status;
-              }
-              if (!st.ok()) {
-                record_error(st);
-                aligner.ForceDone();
-              }
-              if (!aligner.done() && input->Empty()) {
-                collectors.front()->Flush();
-              }
-              continue;
-            }
-            for (Message& msg : in) {
-              if (aligner.done()) break;
-              switch (msg.kind) {
-                case MessageKind::kTuple: {
-                  if (invariants != nullptr) {
-                    invariants->OnPhysicalTuple(head, subtask, msg.slot,
-                                                msg.tuple);
-                  }
-                  Status st = ops.front()->Process(
-                      msg.port, std::move(msg.tuple), collectors.front());
-                  if (!st.ok()) {
-                    st = st.WithContext(ops.front()->name());
-                  } else if (!chain_status.ok()) {
-                    st = chain_status;
-                  }
-                  if (!st.ok()) {
-                    record_error(st);
-                    aligner.ForceDone();
-                  }
-                  break;
-                }
-                case MessageKind::kWatermark: {
-                  if (invariants != nullptr) {
-                    invariants->OnPhysicalWatermark(head, subtask, msg.slot,
-                                                    msg.watermark);
-                  }
-                  Timestamp aligned = kMinTimestamp;
-                  if (aligner.OnWatermark(msg.slot, msg.watermark, &aligned)) {
-                    Status st = cascade_watermark(aligned);
-                    if (!st.ok()) {
-                      record_error(st);
-                      aligner.ForceDone();
-                    } else {
-                      tail.EmitControl(MessageKind::kWatermark, aligned);
-                    }
-                  }
-                  break;
-                }
-                case MessageKind::kColumnar: {
-                  if (invariants != nullptr) {
-                    for (size_t i = 0; i < msg.columnar->rows(); ++i) {
-                      invariants->OnPhysicalTuple(head, subtask, msg.slot,
-                                                  msg.columnar->RowTuple(i));
-                    }
-                  }
-                  Status st = ops.front()->ProcessColumnar(
-                      msg.port, std::move(msg.columnar), collectors.front());
-                  if (!st.ok()) {
-                    st = st.WithContext(ops.front()->name());
-                  } else if (!chain_status.ok()) {
-                    st = chain_status;
-                  }
-                  if (!st.ok()) {
-                    record_error(st);
-                    aligner.ForceDone();
-                  }
-                  break;
-                }
-                case MessageKind::kEnd: {
-                  if (aligner.OnEnd()) {
-                    Status st = cascade_finish();
-                    if (!st.ok()) record_error(st);
-                    tail.EmitControl(MessageKind::kEnd, 0);
-                  }
-                  break;
-                }
-              }
-            }
-            // Input drained for now: hand partial output batches
-            // downstream before blocking, so a stalled stream never
-            // strands tuples in a half-filled batch.
-            if (!aligner.done() && input->Empty()) {
-              collectors.front()->Flush();
-            }
-          }
-        });
-      }
-    }
-
-    for (std::thread& t : threads) t.join();
+  for (NodeId id = 0; id < n; ++id) {
+    JobGraph::Node& node = graph_->mutable_node(id);
+    if (!node.is_source()) continue;
+    tasks.push_back(std::make_unique<SourceTask>(&ctx, id, node.source.get()));
+    tasks_of_node[static_cast<size_t>(id)].push_back(tasks.back().get());
   }
+  for (int c = 0; c < chain_layout.num_chains(); ++c) {
+    const std::vector<NodeId>& chain =
+        chain_layout.chains[static_cast<size_t>(c)];
+    const NodeId head = chain.front();
+    const int subtasks = graph_->parallelism(head);
+    consumer_of[static_cast<size_t>(head)].assign(
+        static_cast<size_t>(subtasks), nullptr);
+    for (int subtask = 0; subtask < subtasks; ++subtask) {
+      std::vector<Operator*> ops = open_chain(chain, subtask);
+      if (ops.empty()) continue;  // Open failed; channels already closed
+      tasks.push_back(
+          std::make_unique<ChainTask>(&ctx, &chain, subtask, std::move(ops)));
+      consumer_of[static_cast<size_t>(head)][static_cast<size_t>(subtask)] =
+          tasks.back().get();
+      for (NodeId id : chain) {
+        tasks_of_node[static_cast<size_t>(id)].push_back(tasks.back().get());
+      }
+    }
+  }
+
+  // Readiness hooks: a push wakes the channel's consumer task (it may be
+  // parked on empty input), a pop returns credits and wakes every task
+  // that routes into this channel (they may be parked on a full push).
+  for (NodeId to = 0; to < n; ++to) {
+    NodeChannels& node_channels = channels[static_cast<size_t>(to)];
+    if (node_channels.empty()) continue;
+    // Producers of (to, *): tasks of every node with an unfused edge
+    // into `to`. Unfused out-edges only exist on sources and chain
+    // tails, whose tasks own the RoutingCollector that pushes here.
+    std::vector<Task*> producers;
+    for (NodeId from = 0; from < n; ++from) {
+      const JobGraph::Node& from_node = graph_->node(from);
+      for (size_t i = 0; i < from_node.outputs.size(); ++i) {
+        if (from_node.outputs[i].to != to || chain_layout.fused(from, i)) {
+          continue;
+        }
+        for (Task* t : tasks_of_node[static_cast<size_t>(from)]) {
+          if (std::find(producers.begin(), producers.end(), t) ==
+              producers.end()) {
+            producers.push_back(t);
+          }
+        }
+      }
+    }
+    for (size_t s = 0; s < node_channels.size(); ++s) {
+      Task* consumer = consumer_of[static_cast<size_t>(to)][s];
+      node_channels[s]->SetReadinessHooks(
+          [&scheduler, consumer] {
+            if (consumer != nullptr) {
+              scheduler.Wake(consumer, WakeKind::kInput);
+            }
+          },
+          [&scheduler, producers] {
+            for (Task* producer : producers) {
+              scheduler.Wake(producer, WakeKind::kCredit);
+            }
+          });
+    }
+  }
+
+  std::vector<Task*> task_ptrs;
+  task_ptrs.reserve(tasks.size());
+  for (const std::unique_ptr<Task>& t : tasks) task_ptrs.push_back(t.get());
+  scheduler.Run(task_ptrs);
+  result.scheduler = scheduler.ConsumeStats(ctx.quantum_batches);
 
 #if CEP2ASP_CHECK_INVARIANTS
   // Guarded by the preprocessor (not `if (invariants)`) because in the

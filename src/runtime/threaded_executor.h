@@ -29,23 +29,7 @@ struct ThreadedExecutorOptions {
   /// bit-for-bit (every message is its own batch).
   size_t batch_size = 64;
 
-  /// Latency bound for source-side batching: when filling the previous
-  /// batch took longer than this, the source halves its staging size (down
-  /// to 1) so slow/rate-limited sources do not sit on tuples; fast sources
-  /// grow back to `batch_size`. 0 disables the adaptation (always stage
-  /// full batches).
-  Timestamp source_flush_timeout_millis = 2;
-
-  /// Run (chain, subtask) units as cooperative tasks on a fixed worker
-  /// pool (TaskScheduler) instead of one OS thread each. Parallelism then
-  /// stops costing threads: P=4 on a 2-core host multiplexes 4 tasks over
-  /// 2 workers with credit-based backpressure instead of oversubscribing
-  /// 4+ blocking threads. Off selects the legacy thread-per-subtask path,
-  /// kept for A/B comparison.
-  bool use_task_scheduler = true;
-
-  /// Worker pool size for the task scheduler; 0 means
-  /// std::thread::hardware_concurrency(). Ignored by the legacy path.
+  /// Worker pool size; 0 means std::thread::hardware_concurrency().
   int worker_threads = 0;
 
   /// Input batches one task may process before yielding the worker
@@ -65,9 +49,9 @@ struct ThreadedExecutorOptions {
   Clock* clock = nullptr;
 };
 
-/// \brief Executor running each physical task — one per (node, subtask
-/// instance) — on its own thread, connected by micro-batched exchange
-/// channels.
+/// \brief Executor multiplexing every physical task — each source and
+/// each (chain, subtask instance) — as a cooperative task onto a fixed
+/// TaskScheduler worker pool, connected by micro-batched exchange channels.
 ///
 /// This realizes both kinds of parallelism the paper's mapping unlocks:
 /// pipeline parallelism from decomposing the pattern into multiple
@@ -81,8 +65,7 @@ struct ThreadedExecutorOptions {
 /// to every consumer subtask; each consumer min-aligns watermarks and
 /// counts end markers across its physical slots (one per producer
 /// subtask), so window firing and termination are exact under
-/// partitioning. With parallelism 1 everywhere this reduces to the
-/// historical one-thread-per-node behavior.
+/// partitioning.
 ///
 /// Operator chaining collapses runs of fused forward edges into one
 /// subtask per chain (JobGraph::SetChaining opts a node out): tuples inside a chain are handed to
@@ -96,20 +79,18 @@ struct ThreadedExecutorOptions {
 ///
 /// Tuples cross boundary edges in MessageBatches (one channel
 /// synchronization per batch, not per tuple); physical-fan-in-1 channels
-/// ride a lock-free SPSC ring, the rest fall back to the mutex queue. The
+/// ride a lock-free SPSC ring, the rest a mutex queue. The
 /// single-threaded PipelineExecutor remains the deterministic logical
 /// reference (it ignores parallelism); correctness tests assert both
 /// produce identical match sets at every parallelism level.
 ///
-/// By default (use_task_scheduler) the physical units do not own OS
-/// threads: each source and each (chain, subtask) becomes a cooperative
-/// task multiplexed onto a fixed TaskScheduler worker pool sized to the
-/// hardware. Tasks process a bounded quantum of input batches and yield; a
-/// full output channel parks the producing task on a credit (non-blocking
-/// TryPushBatch) and the consumer's pop wakes it, so backpressure never
-/// wastes a worker thread. SchedulerStats in the result expose per-worker
-/// task runs, steals, parks and quantum utilization. use_task_scheduler =
-/// false restores the legacy thread-per-subtask execution for A/B runs.
+/// No task owns an OS thread and no channel operation blocks. Tasks
+/// process a bounded quantum of input batches and yield; an empty input
+/// parks the consuming task until a producer pushes, a full output
+/// channel parks the producing task on a credit (non-blocking
+/// TryPushBatch) until the consumer pops, and a paced source parks on the
+/// scheduler timer. SchedulerStats in the result expose per-worker task
+/// runs, steals, parks and quantum utilization.
 class ThreadedExecutor {
  public:
   ThreadedExecutor(JobGraph* graph, ThreadedExecutorOptions options = {});

@@ -305,46 +305,40 @@ TEST_F(InvarianceTest, ParallelismMatrixPreservesMatchMultisets) {
 
     for (int parallelism : {1, 2, 4}) {
       for (size_t batch : {size_t{1}, size_t{64}}) {
-        for (bool task_scheduler : {true, false}) {
-          for (bool compile_exprs : {true, false}) {
-            TranslatorOptions opt = o3;
-            opt.parallelism = parallelism;
-            opt.compile_expressions = compile_exprs;
-            auto compiled = TranslatePattern(c.pattern, opt,
-                                             workload_.MakeSourceFactory());
-            ASSERT_TRUE(compiled.ok()) << compiled.status();
-            ThreadedExecutorOptions options;
-            options.batch_size = batch;
-            options.watermark_interval = kEndOfStreamOnly;
-            options.use_task_scheduler = task_scheduler;
-            ThreadedExecutor executor(&compiled->graph, options);
-            ExecutionResult result = executor.Run(compiled->sink);
-            ASSERT_TRUE(result.ok) << c.name << ": " << result.error;
-            EXPECT_EQ(test::MatchMultiset(compiled->sink->tuples()),
-                      reference)
+        for (bool compile_exprs : {true, false}) {
+          TranslatorOptions opt = o3;
+          opt.parallelism = parallelism;
+          opt.compile_expressions = compile_exprs;
+          auto compiled = TranslatePattern(c.pattern, opt,
+                                           workload_.MakeSourceFactory());
+          ASSERT_TRUE(compiled.ok()) << compiled.status();
+          ThreadedExecutorOptions options;
+          options.batch_size = batch;
+          options.watermark_interval = kEndOfStreamOnly;
+          ThreadedExecutor executor(&compiled->graph, options);
+          ExecutionResult result = executor.Run(compiled->sink);
+          ASSERT_TRUE(result.ok) << c.name << ": " << result.error;
+          EXPECT_EQ(test::MatchMultiset(compiled->sink->tuples()), reference)
+              << c.name << " parallelism=" << parallelism
+              << " batch_size=" << batch
+              << " compile_exprs=" << compile_exprs;
+          EXPECT_TRUE(result.scheduler.used) << c.name;
+          if (parallelism > 1) {
+            // The partitioned stages must actually have been expanded.
+            EXPECT_FALSE(result.partition_skew.empty())
+                << c.name << " parallelism=" << parallelism;
+          }
+          if (!compile_exprs || parallelism == 1) {
+            // The translated plans must contain at least one fused
+            // forward run, so the matrix covers in-chain hand-offs. With
+            // compiled expressions at parallelism > 1 the filter→key
+            // prefix is already one operator wedged between a source edge
+            // and a hash edge, so no chainable edge remains — the fusion
+            // subsumed what chaining used to buy there.
+            const ChainLayout layout = ComputeChainLayout(compiled->graph);
+            EXPECT_GT(layout.fused_edge_count(), 0)
                 << c.name << " parallelism=" << parallelism
-                << " batch_size=" << batch
-                << " task_scheduler=" << task_scheduler
                 << " compile_exprs=" << compile_exprs;
-            EXPECT_EQ(result.scheduler.used, task_scheduler) << c.name;
-            if (parallelism > 1) {
-              // The partitioned stages must actually have been expanded.
-              EXPECT_FALSE(result.partition_skew.empty())
-                  << c.name << " parallelism=" << parallelism;
-            }
-            if (!compile_exprs || parallelism == 1) {
-              // The translated plans must contain at least one fused
-              // forward run, so the matrix covers in-chain hand-offs.
-              // With compiled expressions at parallelism > 1 the
-              // filter→key prefix is already one operator wedged between
-              // a source edge and a hash edge, so no chainable edge
-              // remains — the fusion subsumed what chaining used to buy
-              // there.
-              const ChainLayout layout = ComputeChainLayout(compiled->graph);
-              EXPECT_GT(layout.fused_edge_count(), 0)
-                  << c.name << " parallelism=" << parallelism
-                  << " compile_exprs=" << compile_exprs;
-            }
           }
         }
       }
@@ -360,9 +354,7 @@ TEST_F(InvarianceTest, ColumnarTransferPreservesMatchMultisets) {
   // blocks either travel whole into the SoA join (parallelism-1 hash
   // edges) or scatter back to rows at a parallel hash edge or the first
   // row-major consumer. Match multisets must be identical with the path
-  // forced off, for every pattern shape, parallelism, and both executor
-  // backends (the task scheduler and the legacy thread-per-subtask path
-  // have separate gather/forward wiring).
+  // forced off, for every pattern shape and parallelism.
   struct Case {
     const char* name;
     Pattern pattern;
@@ -391,25 +383,21 @@ TEST_F(InvarianceTest, ColumnarTransferPreservesMatchMultisets) {
     ASSERT_FALSE(reference.empty()) << c.name;
 
     for (int parallelism : {1, 4}) {
-      for (bool task_scheduler : {true, false}) {
-        for (bool columnar : {true, false}) {
-          TranslatorOptions opt = o3;
-          opt.parallelism = parallelism;
-          auto compiled = TranslatePattern(c.pattern, opt,
-                                           workload_.MakeSourceFactory());
-          ASSERT_TRUE(compiled.ok()) << compiled.status();
-          ThreadedExecutorOptions options;
-          options.watermark_interval = kEndOfStreamOnly;
-          options.use_task_scheduler = task_scheduler;
-          options.enable_columnar = columnar;
-          ThreadedExecutor executor(&compiled->graph, options);
-          ExecutionResult result = executor.Run(compiled->sink);
-          ASSERT_TRUE(result.ok) << c.name << ": " << result.error;
-          EXPECT_EQ(test::MatchMultiset(compiled->sink->tuples()), reference)
-              << c.name << " parallelism=" << parallelism
-              << " task_scheduler=" << task_scheduler
-              << " columnar=" << columnar;
-        }
+      for (bool columnar : {true, false}) {
+        TranslatorOptions opt = o3;
+        opt.parallelism = parallelism;
+        auto compiled = TranslatePattern(c.pattern, opt,
+                                         workload_.MakeSourceFactory());
+        ASSERT_TRUE(compiled.ok()) << compiled.status();
+        ThreadedExecutorOptions options;
+        options.watermark_interval = kEndOfStreamOnly;
+        options.enable_columnar = columnar;
+        ThreadedExecutor executor(&compiled->graph, options);
+        ExecutionResult result = executor.Run(compiled->sink);
+        ASSERT_TRUE(result.ok) << c.name << ": " << result.error;
+        EXPECT_EQ(test::MatchMultiset(compiled->sink->tuples()), reference)
+            << c.name << " parallelism=" << parallelism
+            << " columnar=" << columnar;
       }
     }
   }

@@ -303,17 +303,6 @@ TEST(ThreadedExecutorTest, SchedulerStatsSurfacedInResult) {
   EXPECT_GT(result.scheduler.quantum_utilization(), 0.0);
   EXPECT_LE(result.scheduler.quantum_utilization(), 1.0);
   EXPECT_NE(result.scheduler.ToString().find("workers=2"), std::string::npos);
-
-  // The legacy path reports itself as such.
-  CollectSink* legacy_sink = nullptr;
-  auto legacy_graph = build(&legacy_sink);
-  ThreadedExecutorOptions legacy_options;
-  legacy_options.use_task_scheduler = false;
-  ThreadedExecutor legacy(legacy_graph.get(), legacy_options);
-  ExecutionResult legacy_result = legacy.Run(legacy_sink);
-  ASSERT_TRUE(legacy_result.ok) << legacy_result.error;
-  EXPECT_EQ(legacy_result.matches_emitted, 1900);
-  EXPECT_FALSE(legacy_result.scheduler.used);
 }
 
 TEST(ThreadedExecutorTest, RateLimitedSourceDoesNotStarveCoScheduledTasks) {
@@ -384,6 +373,72 @@ TEST(ThreadedExecutorTest, PacedSourcesSharingOneWorkerKeepTheirRate) {
       << " offered";
 }
 
+/// Replays `events` without ever sleeping and reports no pacing deadline
+/// for its first `unpaced` tuples; from then on each tuple is due
+/// `gap_nanos` after the previous one, anchored at the first paced tuple.
+class LatePacedSource : public Source {
+ public:
+  LatePacedSource(std::vector<SimpleEvent> events, int unpaced,
+                  int64_t gap_nanos)
+      : inner_("late-paced", std::move(events)),
+        unpaced_(unpaced),
+        gap_nanos_(gap_nanos) {}
+
+  std::string name() const override { return inner_.name(); }
+
+  bool Next(Tuple* tuple) override {
+    if (!inner_.Next(tuple)) return false;
+    if (++emitted_ == unpaced_) anchor_ = SystemClock::Get()->NowNanos();
+    return true;
+  }
+
+  Timestamp CurrentWatermark() const override {
+    return inner_.CurrentWatermark();
+  }
+
+  int64_t PacingDeadlineNanos() const override {
+    if (emitted_ < unpaced_) return 0;
+    return anchor_ + (emitted_ - unpaced_) * gap_nanos_;
+  }
+
+ private:
+  VectorSource inner_;
+  const int64_t unpaced_;
+  const int64_t gap_nanos_;
+  int64_t emitted_ = 0;
+  int64_t anchor_ = 0;
+};
+
+TEST(ThreadedExecutorTest, SourceThatStartsPacingLateKeepsItsSchedule) {
+  // Two full batches without a deadline must not switch the source to the
+  // unpaced path for good: once it reports deadlines, its tuples are
+  // delivered on schedule (20k tuples/s here), not as fast as Next() runs.
+  constexpr int kUnpaced = 128;
+  constexpr int kPaced = 2000;
+  constexpr int64_t kGapNanos = 50'000;  // 20k tuples/s
+  JobGraph graph;
+  NodeId src = graph.AddSource(std::make_unique<LatePacedSource>(
+      MakeEvents(0, kUnpaced + kPaced), kUnpaced, kGapNanos));
+  auto sink_op = std::make_unique<CollectSink>(/*store_tuples=*/false);
+  CollectSink* sink = sink_op.get();
+  graph.AddOperatorAfter(src, std::move(sink_op));
+
+  ThreadedExecutorOptions options;
+  options.worker_threads = 1;
+  ThreadedExecutor executor(&graph, options);
+  const auto start = std::chrono::steady_clock::now();
+  ExecutionResult result = executor.Run(sink);
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.matches_emitted, kUnpaced + kPaced);
+  const double span_seconds = static_cast<double>(kPaced) * 1e-9 *
+                              static_cast<double>(kGapNanos);
+  EXPECT_GE(elapsed.count(), 0.8 * span_seconds)
+      << "paced tuples were delivered ahead of their schedule";
+  EXPECT_GT(result.scheduler.timer_parks, 0);
+}
+
 TEST(ThreadedExecutorTest, OversubscribedParallelismCompletesOnOneWorker) {
   // More tasks than workers: P=4 hash stage + source + sink chains all
   // multiplex onto a single worker thread. Completion proves parking and
@@ -412,7 +467,7 @@ TEST(ThreadedExecutorTest, OversubscribedParallelismCompletesOnOneWorker) {
   EXPECT_GE(result.scheduler.num_tasks, 6);  // src + keyed-chain + 4 + sink
 }
 
-// --- Schedule lint (I316) ---------------------------------------------------
+// --- Schedule layout -------------------------------------------------------
 
 JobGraph MakeParallelGraph(int parallelism) {
   JobGraph graph;
@@ -428,30 +483,6 @@ JobGraph MakeParallelGraph(int parallelism) {
   return graph;
 }
 
-TEST(ScheduleRulesTest, LegacyOversubscriptionReportsI316) {
-  JobGraph graph = MakeParallelGraph(4);
-  // Legacy threads: 1 source + keyed chain + 4 mapped + sink chain = 7 on
-  // 2 hardware threads -> oversubscribed.
-  DiagnosticReport legacy = AnalyzeSchedule(graph,
-                                            /*use_task_scheduler=*/false,
-                                            /*hardware_threads=*/2);
-  EXPECT_TRUE(legacy.Has(DiagnosticCode::kGraphScheduleOversubscribed));
-  EXPECT_EQ(legacy.error_count(), 0);
-  EXPECT_EQ(legacy.info_count(), 1);
-
-  // The task scheduler multiplexes: the finding never fires.
-  DiagnosticReport pooled = AnalyzeSchedule(graph,
-                                            /*use_task_scheduler=*/true,
-                                            /*hardware_threads=*/2);
-  EXPECT_TRUE(pooled.empty());
-
-  // Enough cores for every legacy thread: nothing to report either.
-  DiagnosticReport roomy = AnalyzeSchedule(graph,
-                                           /*use_task_scheduler=*/false,
-                                           /*hardware_threads=*/16);
-  EXPECT_TRUE(roomy.empty());
-}
-
 TEST(ScheduleRulesTest, ScheduleToStringListsEveryTask) {
   JobGraph graph = MakeParallelGraph(2);
   const std::string layout =
@@ -459,7 +490,8 @@ TEST(ScheduleRulesTest, ScheduleToStringListsEveryTask) {
   EXPECT_NE(layout.find("source s"), std::string::npos);
   EXPECT_NE(layout.find("subtask 0"), std::string::npos);
   EXPECT_NE(layout.find("subtask 1"), std::string::npos);
-  EXPECT_NE(layout.find("worker pool: 2"), std::string::npos);
+  EXPECT_NE(layout.find("tasks: 5, worker pool: 2"), std::string::npos)
+      << layout;
 }
 
 }  // namespace
