@@ -341,109 +341,6 @@ void BM_ForwardChainPipeline(benchmark::State& state) {
 }
 BENCHMARK(BM_ForwardChainPipeline)->Arg(0)->Arg(1)->UseRealTime();
 
-// --- Chain A/B with machine-readable output ----------------------------------
-
-struct ChainAbSide {
-  double throughput_tps = 0;
-  int tasks = 0;
-  int fused_edges = 0;
-  int channels = 0;
-};
-
-ChainAbSide RunChainSide(bool chained, int n, int repetitions) {
-  std::vector<SimpleEvent> events = MakeEvents(TypeA(), n, 10);
-  ChainAbSide side;
-  double best_seconds = 0;
-  for (int rep = 0; rep < repetitions; ++rep) {
-    ChainPipeline p = MakeForwardChainPipeline(events);
-    if (!chained) DisableChaining(&p.graph);
-    // One worker: the A/B measures what fusion saves per tuple, not how
-    // well the unfused side's extra tasks spread over idle cores.
-    ThreadedExecutorOptions options;
-    options.worker_threads = 1;
-    ThreadedExecutor executor(&p.graph, options);
-    const auto start = std::chrono::steady_clock::now();
-    ExecutionResult result = executor.Run(p.sink);
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - start;
-    if (!result.ok) {
-      std::fprintf(stderr, "chain A/B run failed: %s\n", result.error.c_str());
-      std::exit(1);
-    }
-    if (rep == 0) {
-      for (const ChannelStats& stats : result.channel_stats) {
-        if (stats.fused) {
-          ++side.fused_edges;
-        } else {
-          ++side.channels;
-        }
-      }
-      side.tasks = result.scheduler.num_tasks;
-    }
-    if (best_seconds == 0 || elapsed.count() < best_seconds) {
-      best_seconds = elapsed.count();
-    }
-  }
-  side.throughput_tps = static_cast<double>(n) / best_seconds;
-  return side;
-}
-
-void AppendSideJson(std::string* out, const char* key, const ChainAbSide& s) {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "  \"%s\": {\"throughput_tps\": %.0f, \"tasks\": %d, "
-                "\"fused_edges\": %d, \"channels\": %d}",
-                key, s.throughput_tps, s.tasks, s.fused_edges, s.channels);
-  *out += buf;
-}
-
-/// Runs the forward-chain A/B and writes bench_results/BENCH_chain.json;
-/// `quick` shrinks the input and repetition count for CI smoke runs. The
-/// documented floor (chaining >= 1.5x unchained) is recorded in the JSON
-/// but does not set the exit status: on one worker of a 4-vCPU Xeon VM it
-/// held in 19 of 20 quick runs (lowest 1.47x), too flaky for a CI gate.
-int RunChainAb(bool quick) {
-  constexpr double kFloor = 1.5;
-  const int n = quick ? 200000 : 1000000;
-  const int repetitions = quick ? 3 : 5;
-  const ChainAbSide on = RunChainSide(/*chained=*/true, n, repetitions);
-  const ChainAbSide off = RunChainSide(/*chained=*/false, n, repetitions);
-  const double speedup = off.throughput_tps > 0
-                             ? on.throughput_tps / off.throughput_tps
-                             : 0;
-
-  std::string json = "{\n";
-  json += "  \"benchmark\": \"forward_chain_ab\",\n";
-  json += "  \"pipeline\": \"source -> filter -> map -> filter -> sink\",\n";
-  json += "  \"tuples_per_run\": " + std::to_string(n) + ",\n";
-  json += "  \"repetitions\": " + std::to_string(repetitions) + ",\n";
-  AppendSideJson(&json, "chain_on", on);
-  json += ",\n";
-  AppendSideJson(&json, "chain_off", off);
-  json += ",\n";
-  char buf[128];
-  std::snprintf(buf, sizeof(buf),
-                "  \"speedup\": %.2f,\n  \"floor_min_speedup\": %.2f,\n"
-                "  \"floor_met\": %s\n",
-                speedup, kFloor, speedup >= kFloor ? "true" : "false");
-  json += buf;
-  json += "}\n";
-
-  std::error_code ec;
-  std::filesystem::create_directories("bench_results", ec);
-  const char* path = "bench_results/BENCH_chain.json";
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return 1;
-  }
-  std::fputs(json.c_str(), f);
-  std::fclose(f);
-  std::printf("%s", json.c_str());
-  std::printf("wrote %s\n", path);
-  return 0;
-}
-
 // --- Paired A/B helpers -----------------------------------------------------
 
 struct AbSide {
@@ -472,23 +369,140 @@ double MedianPairedRatio(const AbSide& a, const AbSide& b) {
   return Median(std::move(ratios));
 }
 
+// --- Chain A/B with machine-readable output ----------------------------------
+
+/// Graph shape of one chain A/B side (the same on every run).
+struct ChainLayoutCounts {
+  int tasks = 0;
+  int fused_edges = 0;
+  int channels = 0;
+};
+
+ChainLayoutCounts RunChainOnce(bool chained,
+                               const std::vector<SimpleEvent>& events,
+                               AbSide* side) {
+  ChainPipeline p = MakeForwardChainPipeline(events);
+  if (!chained) DisableChaining(&p.graph);
+  // One worker: the A/B measures what fusion saves per tuple, not how
+  // well the unfused side's extra tasks spread over idle cores.
+  ThreadedExecutorOptions options;
+  options.worker_threads = 1;
+  ThreadedExecutor executor(&p.graph, options);
+  const auto start = std::chrono::steady_clock::now();
+  ExecutionResult result = executor.Run(p.sink);
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - start;
+  if (!result.ok) {
+    std::fprintf(stderr, "chain A/B run failed: %s\n", result.error.c_str());
+    std::exit(1);
+  }
+  side->matches = result.matches_emitted;
+  side->tps.push_back(static_cast<double>(events.size()) / elapsed.count());
+  ChainLayoutCounts layout;
+  for (const ChannelStats& stats : result.channel_stats) {
+    if (stats.fused) {
+      ++layout.fused_edges;
+    } else {
+      ++layout.channels;
+    }
+  }
+  layout.tasks = result.scheduler.num_tasks;
+  return layout;
+}
+
+void AppendSideJson(std::string* out, const char* key, const AbSide& side,
+                    const ChainLayoutCounts& layout) {
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "  \"%s\": {\"throughput_tps\": %.0f, \"tasks\": %d, "
+                "\"fused_edges\": %d, \"channels\": %d}",
+                key, Median(side.tps), layout.tasks, layout.fused_edges,
+                layout.channels);
+  *out += buf;
+}
+
+/// Runs the forward-chain A/B and writes bench_results/BENCH_chain.json;
+/// `quick` shrinks the input and repetition count for CI smoke runs.
+/// Paired, order-alternating repetitions after one untimed warm-up; the
+/// speedup is the median of the per-repetition ratios, as in the expr and
+/// soa A/Bs. The documented floor (chaining >= 1.5x unchained) is
+/// recorded in the JSON but does not set the exit status: on one worker
+/// of a 4-vCPU Xeon VM it held in 19 of 20 quick runs of the earlier
+/// best-of estimator (lowest 1.47x), too flaky for a CI gate.
+int RunChainAb(bool quick) {
+  constexpr double kFloor = 1.5;
+  const int n = quick ? 200000 : 1000000;
+  const int repetitions = quick ? 3 : 5;
+  const std::vector<SimpleEvent> events = MakeEvents(TypeA(), n, 10);
+
+  AbSide warmup, on, off;
+  const ChainLayoutCounts on_layout =
+      RunChainOnce(/*chained=*/true, events, &warmup);
+  const ChainLayoutCounts off_layout =
+      RunChainOnce(/*chained=*/false, events, &warmup);
+  for (int rep = 0; rep < repetitions; ++rep) {
+    const bool chained_first = (rep % 2) == 0;
+    RunChainOnce(chained_first, events, chained_first ? &on : &off);
+    RunChainOnce(!chained_first, events, chained_first ? &off : &on);
+  }
+  if (on.matches != off.matches) {
+    std::fprintf(stderr,
+                 "chain A/B: match counts diverged (chained %lld vs "
+                 "unchained %lld)\n",
+                 static_cast<long long>(on.matches),
+                 static_cast<long long>(off.matches));
+    return 1;
+  }
+  const double speedup = MedianPairedRatio(on, off);
+
+  std::string json = "{\n";
+  json += "  \"benchmark\": \"forward_chain_ab\",\n";
+  json += "  \"pipeline\": \"source -> filter -> map -> filter -> sink\",\n";
+  json += "  \"tuples_per_run\": " + std::to_string(n) + ",\n";
+  json += "  \"repetitions\": " + std::to_string(repetitions) + ",\n";
+  AppendSideJson(&json, "chain_on", on, on_layout);
+  json += ",\n";
+  AppendSideJson(&json, "chain_off", off, off_layout);
+  json += ",\n";
+  char buf[128];
+  std::snprintf(buf, sizeof(buf),
+                "  \"speedup\": %.2f,\n  \"floor_min_speedup\": %.2f,\n"
+                "  \"floor_met\": %s\n",
+                speedup, kFloor, speedup >= kFloor ? "true" : "false");
+  json += buf;
+  json += "}\n";
+
+  std::error_code ec;
+  std::filesystem::create_directories("bench_results", ec);
+  const char* path = "bench_results/BENCH_chain.json";
+  std::FILE* f = std::fopen(path, "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot write %s\n", path);
+    return 1;
+  }
+  std::fputs(json.c_str(), f);
+  std::fclose(f);
+  std::printf("%s", json.c_str());
+  std::printf("wrote %s\n", path);
+  return 0;
+}
+
 // --- Expression A/B with machine-readable output -----------------------------
 //
 // Compiled + batched vs interpreted per-tuple on a stateless filter→key
-// prefix, the exact pair of plans the translator chooses between with
-// compile_expressions on/off. The benchmark drives the operator stage
-// directly — the same MessageBatches the executor would hand it — so the
-// measured work is exactly what compilation changes: expression
-// evaluation plus the per-tuple operator plumbing. (End-to-end numbers
-// with source + channel on both sides are what fig3a and bench_pipeline
-// report; there the identical transport cost dilutes the stage-level
-// ratio.) One side is a single CompiledStatelessOperator running a fused
-// ExprProgram over whole batches; the other is the historical interpreted
-// FilterOperator + MapOperator pair taking per-tuple virtual hops through
-// a chaining collector, which is how the executor runs them. The
-// predicate's three terms (one with an rhs offset) all evaluate for every
-// tuple; only ~10% survive, so almost every tuple pays full predicate
-// cost and the survivors pay the key assignment.
+// prefix. The benchmark drives the operator stage directly — the same
+// MessageBatches the executor would hand it — so the measured work is
+// exactly what compilation changes: expression evaluation plus the
+// per-tuple operator plumbing. (End-to-end numbers with source + channel
+// on both sides are what fig3a and bench_pipeline report; there the
+// identical transport cost dilutes the stage-level ratio.) One side is a
+// single CompiledStatelessOperator running a fused ExprProgram over whole
+// batches, the stage the translator emits; the other is the interpreted
+// FilterOperator + MapOperator reference pair taking per-tuple virtual
+// hops through a chaining collector, which is how the executor runs
+// them. The predicate's three terms (one with an rhs offset) all evaluate
+// for every tuple; only ~10% survive, so almost every tuple pays full
+// predicate cost and the survivors pay the key assignment.
 
 Predicate ExprAbPredicate() {
   Predicate pred;
@@ -606,7 +620,7 @@ void RunExprOnce(bool compiled, const std::vector<SimpleEvent>& events,
 
 /// Runs the compiled vs interpreted A/B on the filter→key prefix and
 /// writes bench_results/BENCH_expr.json. Paired, order-alternating
-/// repetitions with one untimed warm-up, exactly like the sched A/B.
+/// repetitions with one untimed warm-up, like the chain A/B.
 /// Exit status gates CI: compiled + batched must reach 1.4x interpreted.
 int RunExprAb(bool quick) {
   const int n = quick ? 300000 : 2000000;

@@ -119,7 +119,7 @@ constexpr CodeInfo kRegistry[] = {
      "exchange channel"},
     {DiagnosticCode::kGraphExprCompilation, DiagnosticSeverity::kInfo,
      "per-node expression-execution report: whether a filter/map runs "
-     "compiled ExprProgram bytecode or the interpreted fallback, and why"},
+     "compiled ExprProgram bytecode or an interpreted operator, and why"},
     {DiagnosticCode::kGraphFilterAlwaysFalse, DiagnosticSeverity::kError,
      "interval analysis proves the filter rejects every tuple its declared "
      "source ranges can produce; everything downstream is dead"},

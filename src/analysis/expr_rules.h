@@ -10,11 +10,11 @@ namespace cep2asp {
 ///
 /// Reports one info diagnostic per operator node that evaluates a filter
 /// predicate or key assignment, naming how the expression executes:
-/// compiled ExprProgram bytecode (with the program size) or the
-/// interpreted fallback (with the reason — user-supplied lambda,
-/// positional predicate, compilation disabled, ...). The note comes from
-/// OperatorTraits::expr_note, so the report reflects what the translator
-/// actually wired, not what the options requested.
+/// compiled ExprProgram bytecode (with the program size), as every
+/// translator filter and key map does, or an interpreted operator of a
+/// hand-built graph (with the reason — user-supplied lambda, interpreted
+/// predicate, ...). The note comes from OperatorTraits::expr_note, so the
+/// report reflects what was actually wired.
 ///
 /// Nodes with ExprExec::kNone (sources, joins, aggregations, sinks) are
 /// never reported. Like AnalyzeChaining, this pass is separate from

@@ -31,19 +31,6 @@ class FilterOperator : public Operator {
         [pred](const Tuple& t) { return pred->EvalOnEvent(t.event(0)); },
         std::move(label), "interpreted predicate (head event)");
     op->predicate_ = std::move(pred);
-    op->predicate_broadcast_ = true;
-    return op;
-  }
-
-  /// Filter evaluating a predicate over the whole composed tuple
-  /// (variable indices = event positions).
-  static std::unique_ptr<FilterOperator> FromTuplePredicate(
-      Predicate predicate, std::string label = "filter") {
-    auto pred = std::make_shared<Predicate>(std::move(predicate));
-    auto op = std::make_unique<FilterOperator>(
-        [pred](const Tuple& t) { return pred->EvalOnTuple(t); },
-        std::move(label), "interpreted predicate (positional)");
-    op->predicate_ = std::move(pred);
     return op;
   }
 
@@ -54,7 +41,7 @@ class FilterOperator : public Operator {
     traits.expr_exec = ExprExec::kInterpreted;
     traits.expr_note = expr_note_;
     traits.predicate = predicate_.get();
-    traits.predicate_broadcast = predicate_broadcast_;
+    traits.predicate_broadcast = true;
     traits.selectivity_bound = selectivity_bound_;
     return traits;
   }
@@ -72,7 +59,6 @@ class FilterOperator : public Operator {
   std::unique_ptr<Operator> CloneForSubtask() const override {
     auto clone = std::make_unique<FilterOperator>(fn_, label_, expr_note_);
     clone->predicate_ = predicate_;
-    clone->predicate_broadcast_ = predicate_broadcast_;
     clone->selectivity_bound_ = selectivity_bound_;
     return clone;
   }
@@ -81,11 +67,11 @@ class FilterOperator : public Operator {
   Fn fn_;
   std::string label_;
   const char* expr_note_;
-  /// The predicate `fn_` interprets, when known (factory-built filters).
-  /// Shared with the evaluation lambda; exposed through Traits so the
-  /// range pass can reason about factory filters without RTTI.
+  /// The predicate `fn_` interprets on the head event, when known
+  /// (FromPredicate). Shared with the evaluation lambda; exposed through
+  /// Traits so the range pass can reason about factory filters without
+  /// RTTI.
   std::shared_ptr<const Predicate> predicate_;
-  bool predicate_broadcast_ = false;
   double selectivity_bound_ = -1.0;
 };
 

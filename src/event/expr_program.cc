@@ -25,7 +25,7 @@ namespace cep2asp {
 namespace {
 
 /// Builds a halt or key-store instruction (a/b operands + pool index).
-ExprInsn KeyInsn(ExprOp op, uint8_t a, uint8_t b, uint8_t imm) {
+ExprInsn KeyInsn(ExprOp op, uint8_t a, uint8_t b, uint32_t imm) {
   ExprInsn insn;
   insn.op = op;
   insn.a = a;
@@ -37,7 +37,7 @@ ExprInsn KeyInsn(ExprOp op, uint8_t a, uint8_t b, uint8_t imm) {
 /// Builds a term instruction: lhs (var, attr), cmp, rhs (var, attr),
 /// const-pool index.
 ExprInsn TermInsn(ExprOp op, uint8_t lvar, uint8_t lattr, CmpOp cmp,
-                  uint8_t rvar, uint8_t rattr, uint8_t imm) {
+                  uint8_t rvar, uint8_t rattr, uint32_t imm) {
   ExprInsn insn;
   insn.op = op;
   insn.a = lvar;
@@ -51,7 +51,7 @@ ExprInsn TermInsn(ExprOp op, uint8_t lvar, uint8_t lattr, CmpOp cmp,
 
 }  // namespace
 
-uint8_t ExprProgram::InternConst(double value) {
+uint32_t ExprProgram::InternConst(double value) {
   // Compare bit patterns, not values: NaN constants must intern too, and
   // comparing through uint64_t (rather than memcmp on doubles) keeps the
   // intent explicit for both readers and flp37-style lints.
@@ -61,27 +61,19 @@ uint8_t ExprProgram::InternConst(double value) {
     uint64_t pool_bits = 0;
     std::memcpy(&pool_bits, &const_pool_[i], sizeof(pool_bits));
     if (pool_bits == value_bits) {
-      return static_cast<uint8_t>(i);
+      return static_cast<uint32_t>(i);
     }
   }
-  if (const_pool_.size() >= 256) {
-    Fail();
-    return 0;
-  }
   const_pool_.push_back(value);
-  return static_cast<uint8_t>(const_pool_.size() - 1);
+  return static_cast<uint32_t>(const_pool_.size() - 1);
 }
 
-uint8_t ExprProgram::InternKey(int64_t value) {
+uint32_t ExprProgram::InternKey(int64_t value) {
   for (size_t i = 0; i < key_pool_.size(); ++i) {
-    if (key_pool_[i] == value) return static_cast<uint8_t>(i);
-  }
-  if (key_pool_.size() >= 256) {
-    Fail();
-    return 0;
+    if (key_pool_[i] == value) return static_cast<uint32_t>(i);
   }
   key_pool_.push_back(value);
-  return static_cast<uint8_t>(key_pool_.size() - 1);
+  return static_cast<uint32_t>(key_pool_.size() - 1);
 }
 
 void ExprProgram::EmitComparison(const Comparison& term, VarMode mode) {

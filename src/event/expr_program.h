@@ -35,10 +35,10 @@ enum class ExprOp : uint8_t {
   kCmpAttrAttrOffFail,
 };
 
-/// One 8-byte instruction. Term opcodes use a/b = lhs (var, attr),
+/// One 12-byte instruction. Term opcodes use a/b = lhs (var, attr),
 /// c = the CmpOp, d/e = rhs (var, attr), imm = a const-pool index;
 /// kStoreKeyAttr uses a/b = (var, attr), kStoreKeyConst imm = a key-pool
-/// index.
+/// index. The 32-bit `imm` means pool size never limits compilation.
 struct ExprInsn {
   ExprOp op = ExprOp::kHalt;
   uint8_t a = 0;
@@ -46,9 +46,9 @@ struct ExprInsn {
   uint8_t c = 0;
   uint8_t d = 0;
   uint8_t e = 0;
-  uint8_t imm = 0;
-  uint8_t pad = 0;
+  uint32_t imm = 0;
 };
+static_assert(sizeof(ExprInsn) == 12, "ExprInsn layout changed");
 
 /// \brief Borrowed columnar (SoA) view a program executes against:
 /// per-(event slot, attribute) contiguous double columns instead of
@@ -73,11 +73,12 @@ struct ExprColumnarView {
 /// interpret" replacement for Predicate::EvalOnTuple + MapOperator key
 /// lambdas on translator-generated stateless prefixes.
 ///
-/// Compilation can fail only on capacity (more than 255 pooled constants
-/// or a variable index above 255) — callers test `ok()` and fall back to
-/// the interpreted path. Execution semantics are bit-identical to the
-/// interpreter: comparisons go through the shared EvalCmp, so NaN ordering
-/// matches IEEE (all comparisons but != are false).
+/// Compilation fails only on an event index above 255 (the 8-bit var
+/// operand: a kPositional variable or a KeyByAttribute event index);
+/// broadcast programs, which is everything the translator emits, always
+/// compile. Execution semantics are bit-identical to the interpreter:
+/// comparisons go through the shared EvalCmp, so NaN ordering matches
+/// IEEE (all comparisons but != are false).
 class ExprProgram {
  public:
   /// How predicate variable indices address the tuple's events.
@@ -107,8 +108,8 @@ class ExprProgram {
   /// a filter feeding a map.
   static ExprProgram Fuse(const ExprProgram& first, const ExprProgram& second);
 
-  /// False when compilation overflowed an 8-bit operand; such a program
-  /// must not be run (callers keep the interpreted operator instead).
+  /// False when an event index overflowed its 8-bit operand; such a
+  /// program must not be run.
   bool ok() const { return ok_; }
 
   /// True when the program writes the partition key.
@@ -169,8 +170,8 @@ class ExprProgram {
                              std::vector<int64_t> key_pool);
 
  private:
-  uint8_t InternConst(double value);
-  uint8_t InternKey(int64_t value);
+  uint32_t InternConst(double value);
+  uint32_t InternKey(int64_t value);
   void EmitComparison(const Comparison& term, VarMode mode);
   void Fail() { ok_ = false; }
 

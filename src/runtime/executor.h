@@ -25,13 +25,6 @@ struct ExecutorOptions {
   /// timeline; the peak is still tracked at watermark boundaries).
   int state_sample_interval = 8192;
 
-  /// Refresh the wall-clock `create_ts` stamp once per this many ingested
-  /// tuples instead of per tuple, removing a clock read from the per-tuple
-  /// hot path. Latency measurements are conservatively inflated by at most
-  /// the time to ingest one interval (microseconds at engine rates); 1
-  /// restores exact per-tuple stamping. Match outputs never depend on it.
-  int stamp_interval = 32;
-
   /// Abort the run with a simulated out-of-memory failure when total
   /// operator state exceeds this budget (bytes). Defaults to unlimited.
   /// Models the paper's observation that FlinkCEP's growing NFA state leads

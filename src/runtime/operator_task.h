@@ -20,6 +20,11 @@ namespace cep2asp {
 
 class InvariantChecker;
 
+/// Input batches one task may process before yielding its worker (the
+/// cooperative quantum). Larger quanta amortize scheduling overhead;
+/// smaller quanta interleave co-scheduled tasks more finely.
+constexpr int kQuantumBatches = 8;
+
 /// Input channels of one node, one per consumer subtask.
 using NodeChannels = std::vector<std::unique_ptr<Channel>>;
 
@@ -219,7 +224,6 @@ struct TaskContext {
   /// edges, written by the owning chain task only.
   std::vector<std::vector<int64_t>>* fused_tuples = nullptr;
   size_t batch_size = 64;
-  int quantum_batches = 8;
   int watermark_interval = 256;
   /// Negotiate SoA (columnar) transfer on eligible edges.
   bool enable_columnar = false;

@@ -143,7 +143,6 @@ ExecutionResult ThreadedExecutor::Run(const CollectSink* sink) {
   ctx.channels = &channels;
   ctx.fused_tuples = &fused_tuples;
   ctx.batch_size = batch_size;
-  ctx.quantum_batches = std::max(1, options_.quantum_batches);
   ctx.watermark_interval = options_.watermark_interval;
   ctx.clock = clock;
   ctx.invariants = invariants;
@@ -229,7 +228,7 @@ ExecutionResult ThreadedExecutor::Run(const CollectSink* sink) {
   task_ptrs.reserve(tasks.size());
   for (const std::unique_ptr<Task>& t : tasks) task_ptrs.push_back(t.get());
   scheduler.Run(task_ptrs);
-  result.scheduler = scheduler.ConsumeStats(ctx.quantum_batches);
+  result.scheduler = scheduler.ConsumeStats(kQuantumBatches);
 
 #if CEP2ASP_CHECK_INVARIANTS
   // Guarded by the preprocessor (not `if (invariants)`) because in the

@@ -32,11 +32,6 @@ struct ThreadedExecutorOptions {
   /// Worker pool size; 0 means std::thread::hardware_concurrency().
   int worker_threads = 0;
 
-  /// Input batches one task may process before yielding the worker
-  /// (cooperative quantum). Larger quanta amortize scheduling overhead;
-  /// smaller quanta interleave co-scheduled tasks more finely.
-  int quantum_batches = 8;
-
   /// Negotiate columnar (SoA) transfer per edge: forward edges and
   /// parallelism-1 hash edges into a columnar-capable consumer carry
   /// ColumnarBatch blocks as one channel envelope, and the consumer runs

@@ -92,9 +92,9 @@ struct LogicalPlan {
   /// Declared distinct-key count (0 = unknown); becomes the compiled
   /// nodes' key-domain hint.
   int64_t num_keys_hint = 0;
-  /// Compile filters / key maps to ExprProgram bytecode (from
-  /// TranslatorOptions::compile_expressions).
-  bool compile_expressions = true;
+  /// Append a DedupOperator(2 * window_size) before the sink (from
+  /// TranslatorOptions::deduplicate_output).
+  bool deduplicate_output = false;
 
   std::string ToString() const {
     return root ? root->ToString() : "(empty plan)";

@@ -589,7 +589,7 @@ Result<LogicalPlan> Translator::ToLogicalPlan(const Pattern& pattern) const {
   plan.slide = ctx.slide;
   plan.parallelism = std::max(1, options_.parallelism);
   plan.num_keys_hint = options_.num_keys_hint;
-  plan.compile_expressions = options_.compile_expressions;
+  plan.deduplicate_output = options_.deduplicate_output;
   (void)ctx.used_sliding_join;
   return plan;
 }
@@ -607,9 +607,6 @@ struct CompileContext {
   /// declared key-domain size (lint metadata).
   int parallelism = 1;
   int64_t num_keys_hint = 0;
-  /// Emit CompiledStatelessOperator for translator-generated filters and
-  /// key maps (TranslatorOptions::compile_expressions).
-  bool compile_expressions = true;
 };
 
 /// Expands a compiled stage to the requested parallelism when the logical
@@ -633,42 +630,33 @@ PartitionMode KeyedInputMode(const LogicalOp& op, const CompileContext& ctx) {
                                                     : PartitionMode::kForward;
 }
 
-/// The key program of a key-assigning logical node, or a failed program
-/// for other kinds.
+/// The key program of a key-assigning logical node.
 ExprProgram KeyProgramFor(const LogicalOp& op) {
-  if (op.kind == LogicalOpKind::kKeyByAttr) {
-    return ExprProgram::KeyByAttribute(0, op.key_attr);
-  }
-  if (op.kind == LogicalOpKind::kKeyByConst) {
-    return ExprProgram::KeyByConstant(op.const_key);
-  }
-  ExprProgram none;
-  return none;
+  return op.kind == LogicalOpKind::kKeyByAttr
+             ? ExprProgram::KeyByAttribute(0, op.key_attr)
+             : ExprProgram::KeyByConstant(op.const_key);
 }
 
 Result<NodeId> CompileNode(const LogicalOp& op, CompileContext* ctx) {
   // Filter→key fusion: a key-assigning node directly over a filter
   // compiles both into one bytecode program running as a single operator
   // — the whole stateless prefix of an O3 plan becomes one tight loop.
-  if (ctx->compile_expressions &&
-      (op.kind == LogicalOpKind::kKeyByAttr ||
+  if ((op.kind == LogicalOpKind::kKeyByAttr ||
        op.kind == LogicalOpKind::kKeyByConst) &&
       op.inputs.size() == 1 &&
       op.inputs[0]->kind == LogicalOpKind::kFilter) {
     const LogicalOp& filter = *op.inputs[0];
-    ExprProgram fused = ExprProgram::Fuse(
-        ExprProgram::Filter(filter.predicate, ExprProgram::VarMode::kBroadcast),
-        KeyProgramFor(op));
-    if (fused.ok()) {
-      CEP2ASP_ASSIGN_OR_RETURN(NodeId in,
-                               CompileNode(*filter.inputs[0], ctx));
-      NodeId id = ctx->graph->AddOperator(
-          std::make_unique<CompiledStatelessOperator>(std::move(fused),
-                                                      "filter+key"));
-      CEP2ASP_RETURN_IF_ERROR(ctx->graph->Connect(in, id, 0));
-      CEP2ASP_RETURN_IF_ERROR(ApplyParallelism(op, id, ctx));
-      return id;
-    }
+    CEP2ASP_ASSIGN_OR_RETURN(NodeId in, CompileNode(*filter.inputs[0], ctx));
+    NodeId id = ctx->graph->AddOperator(
+        std::make_unique<CompiledStatelessOperator>(
+            ExprProgram::Fuse(ExprProgram::Filter(
+                                  filter.predicate,
+                                  ExprProgram::VarMode::kBroadcast),
+                              KeyProgramFor(op)),
+            "filter+key"));
+    CEP2ASP_RETURN_IF_ERROR(ctx->graph->Connect(in, id, 0));
+    CEP2ASP_RETURN_IF_ERROR(ApplyParallelism(op, id, ctx));
+    return id;
   }
 
   std::vector<NodeId> inputs;
@@ -690,40 +678,18 @@ Result<NodeId> CompileNode(const LogicalOp& op, CompileContext* ctx) {
       return graph->AddSource(std::move(source), op.scan_type);
     }
     case LogicalOpKind::kFilter: {
-      std::unique_ptr<Operator> filter;
-      if (ctx->compile_expressions) {
-        ExprProgram program = ExprProgram::Filter(
-            op.predicate, ExprProgram::VarMode::kBroadcast);
-        if (program.ok()) {
-          filter = std::make_unique<CompiledStatelessOperator>(
-              std::move(program), "filter");
-        }
-      }
-      if (filter == nullptr) {
-        filter = FilterOperator::FromPredicate(op.predicate, "filter");
-      }
-      NodeId id = graph->AddOperator(std::move(filter));
+      NodeId id = graph->AddOperator(std::make_unique<CompiledStatelessOperator>(
+          ExprProgram::Filter(op.predicate, ExprProgram::VarMode::kBroadcast),
+          "filter"));
       CEP2ASP_RETURN_IF_ERROR(graph->Connect(inputs[0], id, 0));
       return id;
     }
     case LogicalOpKind::kKeyByAttr:
     case LogicalOpKind::kKeyByConst: {
-      std::unique_ptr<Operator> map;
-      if (ctx->compile_expressions) {
-        ExprProgram program = KeyProgramFor(op);
-        if (program.ok()) {
-          map = std::make_unique<CompiledStatelessOperator>(
-              std::move(program), op.kind == LogicalOpKind::kKeyByAttr
-                                      ? "map(key:=attr)"
-                                      : "map(key:=const)");
-        }
-      }
-      if (map == nullptr) {
-        map = op.kind == LogicalOpKind::kKeyByAttr
-                  ? MapOperator::KeyByAttribute(0, op.key_attr)
-                  : MapOperator::AssignConstantKey(op.const_key);
-      }
-      NodeId id = graph->AddOperator(std::move(map));
+      NodeId id = graph->AddOperator(std::make_unique<CompiledStatelessOperator>(
+          KeyProgramFor(op), op.kind == LogicalOpKind::kKeyByAttr
+                                 ? "map(key:=attr)"
+                                 : "map(key:=const)"));
       CEP2ASP_RETURN_IF_ERROR(graph->Connect(inputs[0], id, 0));
       if (op.kind == LogicalOpKind::kKeyByAttr) {
         CEP2ASP_RETURN_IF_ERROR(ApplyParallelism(op, id, ctx));
@@ -883,12 +849,14 @@ Result<CompiledQuery> CompilePlan(const LogicalPlan& plan,
   ctx.graph = &query.graph;
   ctx.parallelism = plan.parallelism;
   ctx.num_keys_hint = plan.num_keys_hint;
-  ctx.compile_expressions = plan.compile_expressions;
   CEP2ASP_ASSIGN_OR_RETURN(NodeId last, CompileNode(*plan.root, &ctx));
+  if (plan.deduplicate_output) {
+    last = query.graph.AddOperatorAfter(
+        last, std::make_unique<DedupOperator>(2 * plan.window_size));
+  }
   auto sink = std::make_unique<CollectSink>(store_matches, clock);
   query.sink = sink.get();
-  NodeId sink_id = query.graph.AddOperator(std::move(sink));
-  CEP2ASP_RETURN_IF_ERROR(query.graph.Connect(last, sink_id, 0));
+  query.graph.AddOperatorAfter(last, std::move(sink));
   if (plan.parallelism > 1) AlignStatelessPrefixParallelism(&query.graph);
   CEP2ASP_RETURN_IF_ERROR(query.graph.Validate());
   CEP2ASP_RETURN_IF_ERROR(RefuseDeadPlans(query.graph));
@@ -901,27 +869,6 @@ Result<CompiledQuery> TranslatePattern(const Pattern& pattern,
                                        bool store_matches, Clock* clock) {
   Translator translator(options);
   CEP2ASP_ASSIGN_OR_RETURN(LogicalPlan plan, translator.ToLogicalPlan(pattern));
-  if (options.deduplicate_output) {
-    CompiledQuery query;
-    CompileContext ctx;
-    ctx.factory = &source_factory;
-    ctx.graph = &query.graph;
-    ctx.parallelism = plan.parallelism;
-    ctx.num_keys_hint = plan.num_keys_hint;
-    ctx.compile_expressions = plan.compile_expressions;
-    CEP2ASP_ASSIGN_OR_RETURN(NodeId last, CompileNode(*plan.root, &ctx));
-    NodeId dedup_id = query.graph.AddOperator(
-        std::make_unique<DedupOperator>(2 * plan.window_size));
-    CEP2ASP_RETURN_IF_ERROR(query.graph.Connect(last, dedup_id, 0));
-    auto sink = std::make_unique<CollectSink>(store_matches, clock);
-    query.sink = sink.get();
-    NodeId sink_id = query.graph.AddOperator(std::move(sink));
-    CEP2ASP_RETURN_IF_ERROR(query.graph.Connect(dedup_id, sink_id, 0));
-    if (plan.parallelism > 1) AlignStatelessPrefixParallelism(&query.graph);
-    CEP2ASP_RETURN_IF_ERROR(query.graph.Validate());
-    CEP2ASP_RETURN_IF_ERROR(RefuseDeadPlans(query.graph));
-    return query;
-  }
   return CompilePlan(plan, source_factory, store_matches, clock);
 }
 

@@ -76,11 +76,6 @@ struct TranslatorOptions {
   /// forwarded to the job graph as key-domain hint so the lint can flag
   /// parallelism the key space cannot utilize (W313).
   int64_t num_keys_hint = 0;
-  /// Compile translator-generated predicates and key assignments to
-  /// ExprProgram bytecode (CompiledStatelessOperator, batch execution,
-  /// filter→key fusion). Off = the historical interpreted operators;
-  /// user-supplied lambdas always stay interpreted either way.
-  bool compile_expressions = true;
 };
 
 /// \brief The paper's operator mapping (§4): SEA patterns -> ASP query
@@ -122,13 +117,16 @@ struct CompiledQuery {
 };
 
 /// Compiles a logical plan into a physical JobGraph over the operators of
-/// src/asp. `store_matches` controls whether the sink retains tuples.
+/// src/asp. Every translator filter and key map becomes a compiled
+/// ExprProgram stage (a key map over a filter fuses into one), and
+/// `plan.deduplicate_output` puts a dedup stage in front of the sink.
+/// `store_matches` controls whether the sink retains tuples.
 Result<CompiledQuery> CompilePlan(const LogicalPlan& plan,
                                   const SourceFactory& source_factory,
                                   bool store_matches = true,
                                   Clock* clock = nullptr);
 
-/// Translate + compile in one step.
+/// Translate + compile in one step: ToLogicalPlan, then CompilePlan.
 Result<CompiledQuery> TranslatePattern(const Pattern& pattern,
                                        const TranslatorOptions& options,
                                        const SourceFactory& source_factory,

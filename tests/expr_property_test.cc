@@ -19,6 +19,7 @@
 #include "asp/compiled_stateless.h"
 #include "asp/stateless.h"
 #include "event/expr_program.h"
+#include "event/expr_verifier.h"
 #include "event/predicate.h"
 #include "runtime/operator.h"
 
@@ -231,18 +232,49 @@ TEST(ExprPropertyTest, FusedConstantKeyIsExactInt64) {
   }
 }
 
-TEST(ExprPropertyTest, PoolOverflowFallsBackToNotOk) {
-  // More than 255 distinct constants cannot be pooled behind an 8-bit
-  // immediate; compilation must report !ok() so callers keep the
-  // interpreted operator instead of running a broken program.
+TEST(ExprPropertyTest, ThreeHundredDistinctConstantsCompileAndMatch) {
+  // Pool indices are 32-bit, so a filter with more distinct constants than
+  // an 8-bit operand could address still compiles and agrees with the
+  // interpreter. Every term is a loose bound with its own constant; the
+  // random events' -1e300 and IEEE specials make some tuples fail.
+  std::mt19937_64 rng(0x5ea0003);
   Predicate pred;
   for (int i = 0; i < 300; ++i) {
-    pred.Add(Comparison::AttrConst({0, Attribute::kValue}, CmpOp::kLt,
-                                   1000.0 + i));
+    const AttrRef lhs{0, RandomAttr(rng)};
+    if (i % 2 == 0) {
+      pred.Add(Comparison::AttrConst(lhs, CmpOp::kGe, -1e12 - i));
+    } else {
+      pred.Add(Comparison::AttrConst(lhs, CmpOp::kLe, 1e12 + i));
+    }
   }
   const ExprProgram program =
       ExprProgram::Filter(pred, ExprProgram::VarMode::kBroadcast);
-  EXPECT_FALSE(program.ok());
+  ASSERT_TRUE(program.ok());
+  EXPECT_EQ(program.const_pool().size(), 300u);
+  EXPECT_TRUE(ExprVerifier::Verify(program, 1).ok());
+
+  int passed = 0;
+  for (int sample = 0; sample < 400; ++sample) {
+    const SimpleEvent event = RandomEvent(rng, /*non_finite=*/true);
+    const bool interpreted = pred.EvalOnEvent(event);
+    passed += interpreted ? 1 : 0;
+    EXPECT_EQ(program.EvalOnEvents(&event, 1), interpreted);
+    Tuple tuple((event));
+    EXPECT_EQ(program.Run(&tuple), interpreted);
+  }
+  EXPECT_GT(passed, 0);
+  EXPECT_LT(passed, 400);
+}
+
+TEST(ExprPropertyTest, PositionalVariableAbove255IsNotOk) {
+  // The var operand stays 8-bit: a positional variable index above 255
+  // cannot be encoded, so compilation reports !ok(). Broadcast mode reads
+  // event 0 for every variable and compiles the same predicate.
+  Predicate pred;
+  pred.Add(Comparison::AttrConst({300, Attribute::kValue}, CmpOp::kLt, 1.0));
+  EXPECT_FALSE(
+      ExprProgram::Filter(pred, ExprProgram::VarMode::kPositional).ok());
+  EXPECT_TRUE(ExprProgram::Filter(pred, ExprProgram::VarMode::kBroadcast).ok());
 }
 
 }  // namespace

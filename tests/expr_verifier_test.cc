@@ -211,15 +211,12 @@ TEST(ExprVerifierTest, RejectsPoolIndexOutOfRange) {
 }
 
 TEST(ExprVerifierTest, RejectsFailedCompilationAndZeroEvents) {
-  // 256 distinct constants overflow the 8-bit pool: compilation fails and
-  // the verifier refuses the carcass.
+  // A positional variable index above 255 overflows the 8-bit var
+  // operand: compilation fails and the verifier refuses the carcass.
   Predicate pred;
-  for (int i = 0; i < 300; ++i) {
-    pred.Add(Comparison::AttrConst({0, Attribute::kValue}, CmpOp::kLt,
-                                   static_cast<double>(i)));
-  }
+  pred.Add(Comparison::AttrConst({300, Attribute::kValue}, CmpOp::kLt, 1.0));
   const ExprProgram failed =
-      ExprProgram::Filter(pred, ExprProgram::VarMode::kBroadcast);
+      ExprProgram::Filter(pred, ExprProgram::VarMode::kPositional);
   EXPECT_FALSE(failed.ok());
   EXPECT_FALSE(ExprVerifier::Verify(failed, 1).ok());
 

@@ -305,41 +305,34 @@ TEST_F(InvarianceTest, ParallelismMatrixPreservesMatchMultisets) {
 
     for (int parallelism : {1, 2, 4}) {
       for (size_t batch : {size_t{1}, size_t{64}}) {
-        for (bool compile_exprs : {true, false}) {
-          TranslatorOptions opt = o3;
-          opt.parallelism = parallelism;
-          opt.compile_expressions = compile_exprs;
-          auto compiled = TranslatePattern(c.pattern, opt,
-                                           workload_.MakeSourceFactory());
-          ASSERT_TRUE(compiled.ok()) << compiled.status();
-          ThreadedExecutorOptions options;
-          options.batch_size = batch;
-          options.watermark_interval = kEndOfStreamOnly;
-          ThreadedExecutor executor(&compiled->graph, options);
-          ExecutionResult result = executor.Run(compiled->sink);
-          ASSERT_TRUE(result.ok) << c.name << ": " << result.error;
-          EXPECT_EQ(test::MatchMultiset(compiled->sink->tuples()), reference)
-              << c.name << " parallelism=" << parallelism
-              << " batch_size=" << batch
-              << " compile_exprs=" << compile_exprs;
-          EXPECT_TRUE(result.scheduler.used) << c.name;
-          if (parallelism > 1) {
-            // The partitioned stages must actually have been expanded.
-            EXPECT_FALSE(result.partition_skew.empty())
-                << c.name << " parallelism=" << parallelism;
-          }
-          if (!compile_exprs || parallelism == 1) {
-            // The translated plans must contain at least one fused
-            // forward run, so the matrix covers in-chain hand-offs. With
-            // compiled expressions at parallelism > 1 the filter→key
-            // prefix is already one operator wedged between a source edge
-            // and a hash edge, so no chainable edge remains — the fusion
-            // subsumed what chaining used to buy there.
-            const ChainLayout layout = ComputeChainLayout(compiled->graph);
-            EXPECT_GT(layout.fused_edge_count(), 0)
-                << c.name << " parallelism=" << parallelism
-                << " compile_exprs=" << compile_exprs;
-          }
+        TranslatorOptions opt = o3;
+        opt.parallelism = parallelism;
+        auto compiled = TranslatePattern(c.pattern, opt,
+                                         workload_.MakeSourceFactory());
+        ASSERT_TRUE(compiled.ok()) << compiled.status();
+        ThreadedExecutorOptions options;
+        options.batch_size = batch;
+        options.watermark_interval = kEndOfStreamOnly;
+        ThreadedExecutor executor(&compiled->graph, options);
+        ExecutionResult result = executor.Run(compiled->sink);
+        ASSERT_TRUE(result.ok) << c.name << ": " << result.error;
+        EXPECT_EQ(test::MatchMultiset(compiled->sink->tuples()), reference)
+            << c.name << " parallelism=" << parallelism
+            << " batch_size=" << batch;
+        EXPECT_TRUE(result.scheduler.used) << c.name;
+        if (parallelism > 1) {
+          // The partitioned stages must actually have been expanded.
+          EXPECT_FALSE(result.partition_skew.empty())
+              << c.name << " parallelism=" << parallelism;
+        } else {
+          // The translated plans must contain at least one fused forward
+          // run, so the matrix covers in-chain hand-offs. At parallelism
+          // > 1 the compiled filter→key prefix is one operator wedged
+          // between a source edge and a hash edge, so no chainable edge
+          // remains; ThreadedExecutorTest.ChainSplitAroundNonCloneableOperator
+          // covers parallel in-chain hand-offs.
+          const ChainLayout layout = ComputeChainLayout(compiled->graph);
+          EXPECT_GT(layout.fused_edge_count(), 0) << c.name;
         }
       }
     }
@@ -366,7 +359,6 @@ TEST_F(InvarianceTest, ColumnarTransferPreservesMatchMultisets) {
 
   TranslatorOptions o3;
   o3.use_equi_join_keys = true;
-  o3.compile_expressions = true;
   // End-of-stream watermarks only, for the same reason as the
   // parallelism matrix above: it isolates the knob under test.
   constexpr int kEndOfStreamOnly = 1 << 20;

@@ -7,13 +7,17 @@
 // observed on randomly generated streams.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "analysis/analyzer.h"
 #include "analysis/range_rules.h"
+#include "asp/stateless.h"
 #include "common/clock.h"
+#include "runtime/sink.h"
+#include "runtime/vector_source.h"
 #include "sea/pattern.h"
 #include "translator/translator.h"
 #include "workload/generator.h"
@@ -95,23 +99,31 @@ TEST(RangeRulesTest, AlwaysTrueFilterEmitsW319) {
   catalog.Declare(types.v, RangesWithValue(0.0, 100.0));
 
   // Satisfiable under Top (so the statistics-free translator keeps it),
-  // vacuous under the declared [0, 100] range. Interpreted operators keep
-  // the filter as its own node; the default compiled pipeline fuses it
-  // with the key-assigning map, and a key-assigning operator is not
-  // removable, so W319 is (correctly) suppressed there.
-  auto query = SeqQV(ValuePred(CmpOp::kGe, -10.0));
-  ASSERT_TRUE(query.ok()) << query.status().ToString();
-  TranslatorOptions interpreted;
-  interpreted.compile_expressions = false;
-  auto analysis = AnalyzeQuery(query.ValueOrDie(), interpreted, catalog);
-  ASSERT_TRUE(analysis.ok()) << analysis.status().ToString();
-  EXPECT_TRUE(analysis.ValueOrDie().graph_report.Has(
-      DiagnosticCode::kGraphFilterAlwaysTrue))
-      << analysis.ValueOrDie().graph_report.ToString();
+  // vacuous under the declared [0, 100] range. A standalone filter node
+  // is removable, so W319 fires on it.
+  const Predicate vacuous = ValuePred(CmpOp::kGe, -10.0);
+  JobGraph graph;
+  const NodeId source = graph.AddSource(
+      std::make_unique<VectorSource>("q", std::vector<SimpleEvent>{}),
+      types.q);
+  const NodeId filter =
+      graph.AddOperatorAfter(source, FilterOperator::FromPredicate(vacuous));
+  graph.AddOperatorAfter(filter, std::make_unique<CollectSink>(false));
+  const RangeAnalysis ranges = AnalyzeRanges(graph, catalog);
+  EXPECT_TRUE(ranges.report.Has(DiagnosticCode::kGraphFilterAlwaysTrue))
+      << ranges.report.ToString();
 
+  // The translator fuses the same filter with the key-assigning map, and
+  // a key-assigning operator is not removable, so W319 is (correctly)
+  // suppressed there.
+  auto query = SeqQV(vacuous);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
   auto fused = AnalyzeQuery(query.ValueOrDie(), {}, catalog);
   ASSERT_TRUE(fused.ok()) << fused.status().ToString();
   EXPECT_EQ(fused.ValueOrDie().graph_report.error_count(), 0)
+      << fused.ValueOrDie().graph_report.ToString();
+  EXPECT_FALSE(fused.ValueOrDie().graph_report.Has(
+      DiagnosticCode::kGraphFilterAlwaysTrue))
       << fused.ValueOrDie().graph_report.ToString();
 }
 

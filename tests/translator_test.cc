@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "analysis/expr_rules.h"
 #include "tests/test_util.h"
 #include "translator/logical_plan.h"
 #include "translator/translator.h"
@@ -570,6 +575,93 @@ TEST_F(TranslatorTest, DedupStageRemovesSlidingDuplicates) {
   EXPECT_EQ(deduped.raw_emissions,
             static_cast<int64_t>(deduped.match_set.size()));
   EXPECT_GT(raw.raw_emissions, deduped.raw_emissions);
+}
+
+/// Node list of a compiled job: one "name@parallelism" entry per node in
+/// id order, followed by its out-edges.
+std::vector<std::string> NodeList(const JobGraph& graph) {
+  std::vector<std::string> nodes;
+  for (NodeId id = 0; id < graph.num_nodes(); ++id) {
+    const JobGraph::Node& node = graph.node(id);
+    std::string entry =
+        (node.is_source() ? node.source->name() : node.op->name()) + "@" +
+        std::to_string(node.parallelism);
+    for (const JobGraph::Edge& edge : node.outputs) {
+      entry += " ->" + std::to_string(edge.to);
+    }
+    nodes.push_back(std::move(entry));
+  }
+  return nodes;
+}
+
+TEST_F(TranslatorTest, CompilePlanKeepsTheDedupStage) {
+  // TranslatePattern is ToLogicalPlan + CompilePlan, so linting the two
+  // steps (AnalyzeQuery, plan_lint) sees the job that runs, dedup stage
+  // included.
+  Workload w = MakeWorkload(10, /*sensors=*/4);
+  const Pattern p = PatternBuilder()
+                        .Seq(PatternBuilder::Atom(a_, "e1"),
+                             PatternBuilder::Atom(b_, "e2"))
+                        .Where(Comparison::AttrAttr({0, Attribute::kId},
+                                                    CmpOp::kEq,
+                                                    {1, Attribute::kId}))
+                        .Within(5 * kMin)
+                        .Build()
+                        .ValueOrDie();
+  TranslatorOptions dedup;
+  dedup.deduplicate_output = true;
+  TranslatorOptions keyed_dedup = dedup;
+  keyed_dedup.use_equi_join_keys = true;
+  keyed_dedup.parallelism = 4;
+  for (const TranslatorOptions& options : {dedup, keyed_dedup}) {
+    auto translated = TranslatePattern(p, options, w.MakeSourceFactory());
+    ASSERT_TRUE(translated.ok()) << translated.status();
+    auto plan = Translator(options).ToLogicalPlan(p);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    EXPECT_TRUE(plan->deduplicate_output);
+    auto compiled = CompilePlan(*plan, w.MakeSourceFactory());
+    ASSERT_TRUE(compiled.ok()) << compiled.status();
+    const std::vector<std::string> nodes = NodeList(compiled->graph);
+    EXPECT_EQ(nodes, NodeList(translated->graph));
+    // The stage sits right before the sink.
+    ASSERT_GE(nodes.size(), 2u);
+    EXPECT_EQ(nodes[nodes.size() - 2].rfind("dedup@1", 0), 0u)
+        << nodes[nodes.size() - 2];
+    if (options.parallelism > 1) {
+      EXPECT_TRUE(std::any_of(nodes.begin(), nodes.end(),
+                              [](const std::string& node) {
+                                return node.find("@4") != std::string::npos;
+                              }));
+    }
+  }
+}
+
+TEST_F(TranslatorTest, LeafFilterWithThreeHundredConstantsRunsCompiled) {
+  // 300 distinct constants are more than an 8-bit operand can index; the
+  // filter still compiles (fused with its key map), and the job matches
+  // the same pattern with only the one selective term.
+  Predicate selective;
+  selective.Add(Comparison::AttrConst({0, Attribute::kValue}, CmpOp::kLt, 40));
+  Predicate wide = selective;
+  for (int i = 0; i < 299; ++i) {
+    wide.Add(Comparison::AttrConst({0, Attribute::kValue}, CmpOp::kLt,
+                                   100.0 + i));
+  }
+  Workload w = MakeWorkload(30);
+  auto compiled = TranslatePattern(SeqAB(wide), {}, w.MakeSourceFactory());
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  const DiagnosticReport report = AnalyzeExprCompilation(compiled->graph);
+  ASSERT_FALSE(report.empty());
+  for (const Diagnostic& d : report.diagnostics()) {
+    EXPECT_EQ(d.message.rfind("expression compiled", 0), 0u) << d.ToString();
+  }
+
+  auto expected = test::RunFasp(SeqAB(selective), w);
+  auto actual = test::RunFasp(SeqAB(wide), w);
+  ASSERT_TRUE(expected.result.ok) << expected.result.error;
+  ASSERT_TRUE(actual.result.ok) << actual.result.error;
+  EXPECT_FALSE(expected.match_set.empty());
+  EXPECT_EQ(actual.match_set, expected.match_set);
 }
 
 TEST_F(TranslatorTest, IntervalJoinPlanEmitsNoDuplicates) {
