@@ -929,7 +929,7 @@ int RunSoaAb(bool quick) {
   const int n = quick ? 300000 : 2000000;
   const int channel_rows = quick ? 1 << 16 : 1 << 17;
   const int join_rows = quick ? 1 << 16 : 1 << 19;
-  const int repetitions = quick ? 5 : 9;
+  const int repetitions = quick ? 15 : 9;
   std::vector<SimpleEvent> events = MakeEvents(TypeA(), n, 10);
   std::vector<SimpleEvent> channel_events =
       MakeEvents(TypeA(), channel_rows, 10);

@@ -1,8 +1,7 @@
 #include "asp/interval_join.h"
 
-#include <algorithm>
-
-#include "common/logging.h"
+#include <tuple>
+#include <utility>
 
 namespace cep2asp {
 
@@ -23,102 +22,57 @@ Status IntervalJoinOperator::Open() {
 }
 
 Status IntervalJoinOperator::Process(int input, Tuple tuple, Collector*) {
-  CEP2ASP_DCHECK(input == 0 || input == 1);
-  KeyState& key_state = keys_[tuple.key()];
-  state_bytes_ += tuple.MemoryBytes();
-  std::vector<Tuple>& buffer = input == 0 ? key_state.left : key_state.right;
-  bool& sorted = input == 0 ? key_state.left_sorted : key_state.right_sorted;
-  if (!buffer.empty() && tuple.event_time() < buffer.back().event_time()) {
-    sorted = false;
-  }
-  buffer.push_back(std::move(tuple));
+  store_.Insert(input, tuple);
+  return Status::OK();
+}
+
+Status IntervalJoinOperator::ProcessColumnar(
+    int input, std::unique_ptr<ColumnarBatch> block, Collector*) {
+  store_.InsertColumnar(input, *block);
   return Status::OK();
 }
 
 Status IntervalJoinOperator::OnWatermark(Timestamp watermark, Collector* out) {
-  Flush(watermark, out);
+  // At end of stream (kMaxTimestamp) every left is complete and no right
+  // is reachable any more; the bound arithmetic below would overflow.
+  const bool end_of_stream = watermark == kMaxTimestamp;
+  store_.Sweep([&](const KeyedWindowStore::KeyEntry& entry) {
+    const SideBuffer& left = entry.sides[0];
+    const SideBuffer& right = entry.sides[1];
+    // A left event e1 is complete when every possible partner has arrived:
+    // partners have ts <= e1.ts + upper, and every event with ts < wm has
+    // arrived, so e1.ts + upper < wm guarantees completeness for strict
+    // and non-strict bounds alike. Rows are sorted, so the complete lefts
+    // are a prefix of the live rows.
+    const size_t due = end_of_stream
+                           ? left.rows()
+                           : LowerBoundTs(left.times, left.head, left.rows(),
+                                          watermark - bounds_.upper);
+    windows_created_ += static_cast<int64_t>(due - left.head);
+    // Each left's partners are one range of the sorted right rows; both
+    // ends only move forward as the left ts grows.
+    size_t first = right.head;
+    for (size_t l = left.head; l < due; ++l) {
+      size_t last = 0;
+      std::tie(first, last) =
+          bounds_.RightRange(right.times, first, right.rows(), left.times[l]);
+      pairs_evaluated_ += EmitPairs(entry.key, left.row(l), left.arity, right,
+                                    first, last, condition_, ts_mode_, out);
+    }
+    // Completed lefts leave. A right event e2 stays reachable while some
+    // pending or future left event's window can contain it. Pending and
+    // future lefts have ts >= watermark - upper, so under a strict lower
+    // bound their partners lie above watermark - upper + lower. (A
+    // non-strict lower bound loses the partner at exactly that time of a
+    // left at exactly watermark - upper; the translator emits strict
+    // bounds only.)
+    return std::make_pair(
+        due, end_of_stream
+                 ? right.rows()
+                 : UpperBoundTs(right.times, right.head, right.rows(),
+                                watermark - bounds_.upper + bounds_.lower));
+  });
   return Status::OK();
-}
-
-void IntervalJoinOperator::Flush(Timestamp watermark, Collector* out) {
-  // A left event e1 is complete when every possible partner has arrived:
-  // e1.ts + upper < watermark  (partners have ts < e1.ts + upper <= wm).
-  // Saturation guard: near end-of-stream the executor sends
-  // watermark = kMaxTimestamp; avoid overflow by clamping.
-  for (auto it = keys_.begin(); it != keys_.end();) {
-    KeyState& key_state = it->second;
-    if (!key_state.left_sorted) {
-      std::stable_sort(key_state.left.begin(), key_state.left.end(),
-                       [](const Tuple& a, const Tuple& b) {
-                         return a.event_time() < b.event_time();
-                       });
-      key_state.left_sorted = true;
-    }
-    if (!key_state.right_sorted) {
-      std::stable_sort(key_state.right.begin(), key_state.right.end(),
-                       [](const Tuple& a, const Tuple& b) {
-                         return a.event_time() < b.event_time();
-                       });
-      key_state.right_sorted = true;
-    }
-
-    size_t completed = 0;
-    for (const Tuple& left : key_state.left) {
-      Timestamp ts = left.event_time();
-      // Conservative completeness: all partners have ts <= e1.ts + upper,
-      // and every event with ts < wm has arrived, so e1.ts + upper < wm
-      // guarantees completeness for strict and non-strict bounds alike.
-      bool complete =
-          watermark == kMaxTimestamp || ts < watermark - bounds_.upper;
-      if (!complete) break;
-      ++windows_created_;
-      // Right events within (ts + lower, ts + upper): binary search the
-      // conservative closed range, then test exact bounds per pair.
-      auto lo = std::lower_bound(
-          key_state.right.begin(), key_state.right.end(), ts + bounds_.lower,
-          [](const Tuple& t, Timestamp x) { return t.event_time() < x; });
-      for (auto r = lo; r != key_state.right.end(); ++r) {
-        if (r->event_time() > ts + bounds_.upper) break;
-        if (!bounds_.Contains(ts, r->event_time())) continue;
-        ++pairs_evaluated_;
-        Tuple joined = Tuple::Concat(left, *r);
-        if (!condition_.IsTrue() && !condition_.EvalOnTuple(joined)) continue;
-        joined.set_event_time(ts_mode_ == TimestampMode::kMax ? joined.tse()
-                                                              : joined.tsb());
-        out->Emit(std::move(joined));
-      }
-      ++completed;
-    }
-    for (size_t i = 0; i < completed; ++i) {
-      state_bytes_ -= key_state.left[i].MemoryBytes();
-    }
-    key_state.left.erase(key_state.left.begin(),
-                         key_state.left.begin() + static_cast<long>(completed));
-
-    // A right event e2 stays reachable while some pending or future left
-    // event's window can contain it. Pending/future lefts have
-    // ts > watermark - upper, so their windows start above
-    // watermark - upper + lower.
-    if (watermark != kMaxTimestamp && watermark != kMinTimestamp) {
-      Timestamp keep_above = watermark - bounds_.upper + bounds_.lower;
-      auto keep_from = std::lower_bound(
-          key_state.right.begin(), key_state.right.end(), keep_above,
-          [](const Tuple& t, Timestamp x) { return t.event_time() <= x; });
-      for (auto e = key_state.right.begin(); e != keep_from; ++e) {
-        state_bytes_ -= e->MemoryBytes();
-      }
-      key_state.right.erase(key_state.right.begin(), keep_from);
-    } else if (watermark == kMaxTimestamp) {
-      for (const Tuple& t : key_state.right) state_bytes_ -= t.MemoryBytes();
-      key_state.right.clear();
-    }
-
-    if (key_state.left.empty() && key_state.right.empty()) {
-      it = keys_.erase(it);
-    } else {
-      ++it;
-    }
-  }
 }
 
 }  // namespace cep2asp

@@ -2,12 +2,14 @@
 #define CEP2ASP_ASP_INTERVAL_JOIN_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
-#include "asp/sliding_window_join.h"
+#include "asp/keyed_window_store.h"
 #include "event/predicate.h"
+#include "runtime/columnar_batch.h"
 #include "runtime/operator.h"
 
 namespace cep2asp {
@@ -33,12 +35,29 @@ struct IntervalBounds {
     return IntervalBounds{0, w, true, true};
   }
 
+  /// The bounds' definition: whether `right_ts` lies in the window of a
+  /// left event at `left_ts`.
   bool Contains(Timestamp left_ts, Timestamp right_ts) const {
     Timestamp lo = left_ts + lower;
     Timestamp hi = left_ts + upper;
     bool above = lower_strict ? right_ts > lo : right_ts >= lo;
     bool below = upper_strict ? right_ts < hi : right_ts <= hi;
     return above && below;
+  }
+
+  /// The rows of sorted `times[from, to)` whose time Contains(left_ts, ·)
+  /// accepts, as the index range [first, last) (first == last if none).
+  /// Exact as long as no accepted row lies below `from`.
+  std::pair<size_t, size_t> RightRange(const std::vector<Timestamp>& times,
+                                       size_t from, size_t to,
+                                       Timestamp left_ts) const {
+    const Timestamp lo = left_ts + lower;
+    const Timestamp hi = left_ts + upper;
+    const size_t first = lower_strict ? UpperBoundTs(times, from, to, lo)
+                                      : LowerBoundTs(times, from, to, lo);
+    const size_t last = upper_strict ? LowerBoundTs(times, first, to, hi)
+                                     : UpperBoundTs(times, first, to, hi);
+    return {first, last};
   }
 };
 
@@ -71,6 +90,9 @@ class IntervalJoinOperator : public Operator {
     traits.drains_on_final_watermark = true;
     traits.predicate = &condition_;  // positional over the joined tuple
     traits.selectivity_bound = selectivity_bound_;
+    // Blocks scatter into the same keyed window store as the sliding
+    // join's, one key lookup per run of equal keys.
+    traits.columnar_capable = true;
     return traits;
   }
 
@@ -80,8 +102,10 @@ class IntervalJoinOperator : public Operator {
 
   Status Open() override;
   Status Process(int input, Tuple tuple, Collector* out) override;
+  Status ProcessColumnar(int input, std::unique_ptr<ColumnarBatch> block,
+                         Collector* out) override;
   Status OnWatermark(Timestamp watermark, Collector* out) override;
-  size_t StateBytes() const override { return state_bytes_; }
+  size_t StateBytes() const override { return store_.state_bytes(); }
 
   /// Partition-safe: windows are anchored at individual left events and
   /// all state is per key.
@@ -92,28 +116,20 @@ class IntervalJoinOperator : public Operator {
     return clone;
   }
 
+  /// (left, right) pairs within the bounds: every pair that reached the
+  /// condition, or was emitted directly when the condition is empty.
   int64_t pairs_evaluated() const { return pairs_evaluated_; }
   /// Windows materialized = completed left events (content-based creation).
   int64_t windows_created() const { return windows_created_; }
 
  private:
-  struct KeyState {
-    std::vector<Tuple> left;   // pending left events (windows not yet closed)
-    std::vector<Tuple> right;  // right events, retained while reachable
-    bool left_sorted = true;
-    bool right_sorted = true;
-  };
-
-  void Flush(Timestamp watermark, Collector* out);
-
   IntervalBounds bounds_;
   Predicate condition_;
   double selectivity_bound_ = -1.0;
   TimestampMode ts_mode_;
   std::string label_;
 
-  std::unordered_map<int64_t, KeyState> keys_;
-  size_t state_bytes_ = 0;
+  KeyedWindowStore store_;
   int64_t pairs_evaluated_ = 0;
   int64_t windows_created_ = 0;
 };

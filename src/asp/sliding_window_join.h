@@ -2,23 +2,16 @@
 #define CEP2ASP_ASP_SLIDING_WINDOW_JOIN_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
+#include "asp/keyed_window_store.h"
 #include "asp/window.h"
 #include "event/predicate.h"
 #include "runtime/columnar_batch.h"
 #include "runtime/operator.h"
 
 namespace cep2asp {
-
-/// How the join redefines the output tuple's event time (paper §4.2.2:
-/// after each Window Join the event time attribute must be redefined — the
-/// minimum timestamp of the pair for a partial match of a nested pattern,
-/// the maximum for a complete match).
-enum class TimestampMode : uint8_t { kMin, kMax };
 
 /// \brief Two-input sliding-window join over keyed streams.
 ///
@@ -76,7 +69,7 @@ class SlidingWindowJoinOperator : public Operator {
     traits.drains_on_final_watermark = true;
     traits.predicate = &condition_;  // positional over the joined tuple
     traits.selectivity_bound = selectivity_bound_;
-    // Arriving column blocks scatter into the row-major window stores via
+    // Arriving column blocks scatter into the row-major window store via
     // ProcessColumnar with one key lookup per run of equal keys, so
     // forward and parallelism-1 hash edges into the join may carry blocks
     // whole.
@@ -91,16 +84,12 @@ class SlidingWindowJoinOperator : public Operator {
   Status Open() override;
   Status Process(int input, Tuple tuple, Collector* out) override;
 
-  /// Columnar ingest: one StateForKey lookup per run of equal keys, then
-  /// each row of the run scatters straight into the per-(key, side)
-  /// window store — no RowTuple gather, no per-row Process call.
-  /// Hash-partitioned and constant-key (cartesian) inputs arrive as long
-  /// runs.
+  /// Columnar ingest: KeyedWindowStore::InsertColumnar.
   Status ProcessColumnar(int input, std::unique_ptr<ColumnarBatch> block,
                          Collector* out) override;
 
   Status OnWatermark(Timestamp watermark, Collector* out) override;
-  size_t StateBytes() const override { return state_bytes_; }
+  size_t StateBytes() const override { return store_.state_bytes(); }
 
   /// Partition-safe: window indices are absolute (derived from event
   /// time), state is per key, and dedup_pairs dedups within a (key,
@@ -124,62 +113,9 @@ class SlidingWindowJoinOperator : public Operator {
   int64_t pairs_evaluated() const { return pairs_evaluated_; }
 
  private:
-  /// Per-(key, side) window store, row-major: row i is the `arity` events
-  /// events[i * arity, (i + 1) * arity) with event time times[i]. Rows
-  /// stay sorted by event time — an arrival is inserted after every
-  /// buffered row of equal or smaller time, so equal times keep arrival
-  /// order — and firing never sorts. A pair's events are two contiguous
-  /// runs, read in place for residual evaluation and output.
-  struct SideBuffer {
-    std::vector<SimpleEvent> events;
-    std::vector<Timestamp> times;
-    size_t arity = 0;
-    // Index of the first live row: [head, rows) are buffered, [0, head)
-    // are evicted-but-not-yet-reclaimed. Eviction advances `head` and
-    // erases the dead prefix only once it reaches the live size, so each
-    // row is moved O(1) amortized times over its lifetime — a plain
-    // erase-from-front would instead move every survivor on every evict,
-    // a cost that balloons when batched execution lets the buffers run
-    // deep ahead of the watermark.
-    size_t head = 0;
-
-    size_t rows() const { return times.size(); }
-    bool empty() const { return head >= times.size(); }
-    const SimpleEvent* row(size_t i) const { return &events[i * arity]; }
-    /// Smallest buffered event time (the live front: rows are sorted).
-    Timestamp min_ts() const { return empty() ? kMaxTimestamp : times[head]; }
-  };
-
-  struct KeyState {
-    SideBuffer sides[2];
-  };
-
-  /// Key table entry; kept in a flat vector sorted by key. The firing path
-  /// (FireWindow + EvictBefore) walks every key once per fired window, so
-  /// iteration locality dominates: ~a hundred contiguous entries stay
-  /// L1-resident where an unordered_map walk chases a pointer per key.
-  /// Lookup in Process is a binary search; inserts (one per distinct key)
-  /// shift the tail, which is negligible next to the per-tuple work.
-  struct KeyEntry {
-    int64_t key;
-    KeyState state;
-  };
-
-  KeyState& StateForKey(int64_t key);
-
-  /// Per-row state accounting, matching the row-major Tuple footprint so
-  /// figure-5 style byte timelines stay comparable across layouts.
-  static size_t RowBytes(size_t arity) {
-    return sizeof(Tuple) + (arity > 4 ? arity * sizeof(SimpleEvent) : 0);
-  }
-
-  /// Inserts a row of `arity` events with event time `ts` at its sorted
-  /// place in `side` and returns where the caller writes the events.
-  SimpleEvent* InsertRow(SideBuffer* side, size_t arity, Timestamp ts);
   /// Debug-build check (CEP2ASP_CHECK_INVARIANTS) that a bounded join's
   /// right row is one event whose ts is the row's event time.
-  void CheckBoundedRightRow(int input, const SideBuffer& side,
-                            const SimpleEvent* row, Timestamp ts) const;
+  void CheckBoundedRightRow(int input, const Tuple& row) const;
 
   void FireWindows(Timestamp watermark, Collector* out);
   void FireWindow(int64_t k, Collector* out);
@@ -206,15 +142,9 @@ class SlidingWindowJoinOperator : public Operator {
   static constexpr int kEvictStride = 4;
   int windows_since_evict_ = 0;
 
-  std::vector<KeyEntry> keys_;  // sorted by key
-  /// Smallest event time buffered across all keys and sides; folded in on
-  /// insert and re-derived by EvictBefore (the only two buffer
-  /// mutations), so the per-watermark firing loop costs O(1) instead of a
-  /// full key scan per iteration.
-  Timestamp min_buffered_ts_ = kMaxTimestamp;
+  KeyedWindowStore store_;
   int64_t next_window_ = 0;
   bool have_window_cursor_ = false;
-  size_t state_bytes_ = 0;
   int64_t pairs_evaluated_ = 0;
 };
 

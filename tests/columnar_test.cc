@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "asp/compiled_stateless.h"
+#include "asp/interval_join.h"
 #include "asp/sliding_window_join.h"
 #include "event/expr_program.h"
 #include "event/predicate.h"
@@ -294,27 +295,53 @@ TEST(ColumnarTest, ProcessColumnarMatchesProcessBatch) {
   }
 }
 
-// The join's columnar ingest must be observationally identical to
+/// pairs_evaluated() of either join kind.
+int64_t PairsEvaluated(const Operator& op) {
+  const auto* sliding = dynamic_cast<const SlidingWindowJoinOperator*>(&op);
+  if (sliding != nullptr) return sliding->pairs_evaluated();
+  return dynamic_cast<const IntervalJoinOperator&>(op).pairs_evaluated();
+}
+
+// Each join's columnar ingest must be observationally identical to
 // per-tuple Process: same emission sequence, same pairs_evaluated, same
-// state-byte accounting — across random window specs, conditions,
-// timestamp modes, dedup settings, key runs, block boundaries, and
-// interleaved watermarks.
+// state-byte accounting — across random window specs and interval bounds,
+// conditions, timestamp modes, dedup settings, key runs, deselected rows,
+// block boundaries, and interleaved watermarks. Odd iterations run the
+// interval join.
 TEST(ColumnarTest, JoinProcessColumnarMatchesRowMajorIngest) {
   std::mt19937_64 rng(0xc01c0008);
-  for (int iter = 0; iter < 40; ++iter) {
+  for (int iter = 0; iter < 80; ++iter) {
+    const bool interval = iter % 2 == 1;
     const int l_arity = 1 + static_cast<int>(rng() % 2);
     const int r_arity = 1 + static_cast<int>(rng() % 2);
     const Timestamp slide = 5 * (1 + static_cast<Timestamp>(rng() % 4));
     const SlidingWindowSpec spec{slide * (1 + static_cast<Timestamp>(rng() % 5)),
                                  slide};
+    IntervalBounds bounds;
+    bounds.lower = static_cast<Timestamp>(rng() % 41) - 20;
+    bounds.upper = bounds.lower + static_cast<Timestamp>(rng() % 40);
+    bounds.lower_strict = rng() % 2 == 0;
+    bounds.upper_strict = rng() % 2 == 0;
     const Predicate cond = RandomPredicate(rng, l_arity + r_arity);
     const TimestampMode mode =
         rng() % 2 ? TimestampMode::kMax : TimestampMode::kMin;
     const bool dedup = rng() % 2 == 0;
-    SlidingWindowJoinOperator row_op(spec, cond, mode, "row", dedup);
-    SlidingWindowJoinOperator col_op(spec, cond, mode, "col", dedup);
-    ASSERT_TRUE(row_op.Open().ok());
-    ASSERT_TRUE(col_op.Open().ok());
+    std::unique_ptr<Operator> row_op;
+    std::unique_ptr<Operator> col_op;
+    if (interval) {
+      row_op =
+          std::make_unique<IntervalJoinOperator>(bounds, cond, mode, "row");
+      col_op =
+          std::make_unique<IntervalJoinOperator>(bounds, cond, mode, "col");
+    } else {
+      row_op = std::make_unique<SlidingWindowJoinOperator>(spec, cond, mode,
+                                                           "row", dedup);
+      col_op = std::make_unique<SlidingWindowJoinOperator>(spec, cond, mode,
+                                                           "col", dedup);
+    }
+    ASSERT_TRUE(col_op->Traits().columnar_capable);
+    ASSERT_TRUE(row_op->Open().ok());
+    ASSERT_TRUE(col_op->Open().ok());
     VectorCollector row_out;
     VectorCollector col_out;
 
@@ -334,26 +361,33 @@ TEST(ColumnarTest, JoinProcessColumnarMatchesRowMajorIngest) {
         if (rng() % 16 == 0) t.set_key((int64_t{1} << 53) + 3);
         t.set_event_time(static_cast<Timestamp>(rng() % 200));
         max_ts = std::max(max_ts, t.event_time());
-        batch_tuples.push_back(t);
         block->AppendTuple(t);
+        // A deselected row (a filter's mask) must not reach the join.
+        if (rng() % 6 == 0) {
+          block->mask()[i] = 0;
+        } else {
+          batch_tuples.push_back(t);
+        }
       }
       for (Tuple& t : batch_tuples) {
-        ASSERT_TRUE(row_op.Process(input, t, &row_out).ok());
+        ASSERT_TRUE(row_op->Process(input, t, &row_out).ok());
       }
       ASSERT_TRUE(
-          col_op.ProcessColumnar(input, std::move(block), &col_out).ok());
+          col_op->ProcessColumnar(input, std::move(block), &col_out).ok());
+      EXPECT_EQ(col_op->StateBytes(), row_op->StateBytes());
       if (rng() % 3 == 0) {
         const Timestamp wm = static_cast<Timestamp>(rng() % 220);
-        ASSERT_TRUE(row_op.OnWatermark(wm, &row_out).ok());
-        ASSERT_TRUE(col_op.OnWatermark(wm, &col_out).ok());
+        ASSERT_TRUE(row_op->OnWatermark(wm, &row_out).ok());
+        ASSERT_TRUE(col_op->OnWatermark(wm, &col_out).ok());
       }
     }
-    const Timestamp final_wm = max_ts + spec.size + spec.slide + 1;
-    ASSERT_TRUE(row_op.OnWatermark(final_wm, &row_out).ok());
-    ASSERT_TRUE(col_op.OnWatermark(final_wm, &col_out).ok());
+    const Timestamp final_wm =
+        interval ? kMaxTimestamp : max_ts + spec.size + spec.slide + 1;
+    ASSERT_TRUE(row_op->OnWatermark(final_wm, &row_out).ok());
+    ASSERT_TRUE(col_op->OnWatermark(final_wm, &col_out).ok());
 
-    EXPECT_EQ(col_op.pairs_evaluated(), row_op.pairs_evaluated());
-    EXPECT_EQ(col_op.StateBytes(), row_op.StateBytes());
+    EXPECT_EQ(PairsEvaluated(*col_op), PairsEvaluated(*row_op));
+    EXPECT_EQ(col_op->StateBytes(), row_op->StateBytes());
     ASSERT_EQ(col_out.tuples.size(), row_out.tuples.size())
         << "iter " << iter << " " << cond.ToString();
     for (size_t i = 0; i < row_out.tuples.size(); ++i) {

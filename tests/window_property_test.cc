@@ -3,6 +3,10 @@
 // combination, and the interval-join bounds of O1 must agree with the
 // window-pair semantics for every timestamp offset.
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "asp/interval_join.h"
@@ -103,6 +107,34 @@ TEST(IntervalBoundsTest, NonStrictVariants) {
   EXPECT_TRUE(bounds.Contains(100, 110));
   EXPECT_FALSE(bounds.Contains(100, 111));
   EXPECT_FALSE(bounds.Contains(100, 99));
+}
+
+TEST(IntervalBoundsTest, RightRangeIsExactlyTheContainedRows) {
+  // The interval join takes each left's partners as RightRange over the
+  // sorted right times; it must select exactly the rows Contains accepts,
+  // for every strictness combination, with duplicates and lower == upper.
+  std::mt19937_64 rng(0xb0a4d5);
+  for (int iter = 0; iter < 4000; ++iter) {
+    IntervalBounds bounds;
+    bounds.lower = static_cast<Timestamp>(rng() % 41) - 20;
+    const Timestamp width = static_cast<Timestamp>(rng() % 30);
+    bounds.upper = bounds.lower + (rng() % 4 == 0 ? 0 : width);
+    bounds.lower_strict = (iter & 1) != 0;
+    bounds.upper_strict = (iter & 2) != 0;
+    std::vector<Timestamp> times(rng() % 25);
+    for (Timestamp& t : times) t = static_cast<Timestamp>(rng() % 40);
+    std::sort(times.begin(), times.end());
+    const Timestamp left = static_cast<Timestamp>(rng() % 60) - 10;
+    const auto [first, last] =
+        bounds.RightRange(times, 0, times.size(), left);
+    for (size_t r = 0; r < times.size(); ++r) {
+      EXPECT_EQ(r >= first && r < last, bounds.Contains(left, times[r]))
+          << "iter " << iter << " left=" << left << " right=" << times[r]
+          << " bounds=" << bounds.lower << "," << bounds.upper << " strict="
+          << bounds.lower_strict << bounds.upper_strict;
+    }
+    EXPECT_LE(first, last);
+  }
 }
 
 }  // namespace
