@@ -24,21 +24,21 @@ DiagnosticReport AnalyzeChaining(const JobGraph& graph);
 
 /// \brief Columnar-transfer lint pass (diagnostic code I322).
 ///
-/// Reports, per operator-feeding edge, how tuples would travel under the
-/// executor's SoA negotiation (ThreadedExecutorOptions::enable_columnar):
-///   - "columnar"     — the edge ships whole ColumnarBatch envelopes (a
-///                      forward or parallelism-1 hash edge into a
-///                      columnar-capable consumer, with every sibling edge
-///                      eligible too, or an in-chain hand-off between
-///                      capable operators);
-///   - "scatter shim" — the producer runs columnar but this edge cannot
-///                      carry blocks (an ineligible sibling, broadcast, a
+/// Reports, per operator-feeding edge, how tuples travel under
+/// ChooseEdgeBatch (job_graph.h), the rule the executor's RoutingCollector
+/// applies:
+///   - "columnar"     — the edge ships whole ColumnarBatch envelopes (or
+///                      hands blocks over in-chain);
+///   - "scatter shim" — the producer emits blocks but this edge cannot
+///                      carry them (an ineligible sibling, broadcast, a
 ///                      hash edge into a parallel consumer, or a row-major
-///                      consumer), so blocks are scattered back to rows at
+///                      consumer), so they are scattered back to rows at
 ///                      the boundary;
-///   - "row-major"    — rows travel individually, with the blocking reason.
-/// Mirrors RoutingCollector's negotiation exactly; like AnalyzeChaining it
-/// stays out of AnalyzeJobGraph so executor reports remain info-free.
+///   - "row-major"    — the producer emits rows only (joins, NSEQ
+///                      marking, unions).
+/// Fused edges are reported only when the producer ingests or emits
+/// blocks. Like AnalyzeChaining it stays out of AnalyzeJobGraph so
+/// executor reports remain info-free.
 DiagnosticReport AnalyzeColumnarLayout(const JobGraph& graph);
 
 }  // namespace cep2asp

@@ -1,8 +1,6 @@
 #ifndef CEP2ASP_ASP_COMPILED_STATELESS_H_
 #define CEP2ASP_ASP_COMPILED_STATELESS_H_
 
-#include <algorithm>
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
@@ -17,12 +15,14 @@ namespace cep2asp {
 /// compiled ExprProgram instead of interpreting a Predicate or calling a
 /// std::function per tuple.
 ///
-/// The batch path is the point: ProcessBatch runs the whole MessageBatch
-/// through one tight loop — one bytecode execution per tuple, failing
-/// tuples compacted out in place — and hands the survivors downstream with
-/// a single EmitBatch, so a fused filter→key prefix costs no per-tuple
-/// virtual hop at all. Emitted by the translator for translator-generated
-/// predicates; user-supplied lambdas keep the interpreted operators.
+/// The block path is the point: ProcessColumnar runs each fused term as
+/// one loop over contiguous columns (RunColumnar), compacts the failing
+/// rows out in place and re-emits the block whole, so a fused filter→key
+/// prefix costs no per-tuple virtual hop at all. Rows that still arrive
+/// one by one (a hand-built graph, a mixed-arity source batch) take
+/// Process → Run with the same result. Emitted by the translator for
+/// translator-generated predicates; user-supplied lambdas keep the
+/// interpreted operators.
 class CompiledStatelessOperator : public Operator {
  public:
   /// `declared_events` is the schema capacity the program's event operands
@@ -70,29 +70,6 @@ class CompiledStatelessOperator : public Operator {
     return Status::OK();
   }
 
-  Status ProcessBatch(int input, MessageBatch* batch, Collector* out) override {
-    (void)input;
-    Message* data = batch->data();
-    const size_t n = batch->size();
-    size_t kept = 0;
-    // Vectorized: the program runs term-by-term across the chunk (strided
-    // over the Message layout), then one pass compacts survivors in place.
-    uint8_t mask[kChunk];
-    for (size_t begin = 0; begin < n; begin += kChunk) {
-      const size_t len = std::min(n - begin, kChunk);
-      program_.RunBatch(&data[begin].tuple, sizeof(Message), len, mask);
-      for (size_t i = 0; i < len; ++i) {
-        if (mask[i]) {
-          if (kept != begin + i) data[kept] = std::move(data[begin + i]);
-          ++kept;
-        }
-      }
-    }
-    batch->resize(kept);
-    out->EmitBatch(batch);
-    return Status::OK();
-  }
-
   Status ProcessColumnar(int input, std::unique_ptr<ColumnarBatch> block,
                          Collector* out) override {
     (void)input;
@@ -112,10 +89,6 @@ class CompiledStatelessOperator : public Operator {
   const ExprProgram& program() const { return program_; }
 
  private:
-  /// Selection-mask chunk size: large enough that per-chunk costs vanish
-  /// behind the per-tuple work, small enough to live on the stack.
-  static constexpr size_t kChunk = 256;
-
   ExprProgram program_;
   std::string label_;
   size_t declared_events_ = 1;

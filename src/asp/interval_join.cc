@@ -41,9 +41,8 @@ Status IntervalJoinOperator::OnWatermark(Timestamp watermark, Collector* out) {
     const SideBuffer& right = entry.sides[1];
     // A left event e1 is complete when every possible partner has arrived:
     // partners have ts <= e1.ts + upper, and every event with ts < wm has
-    // arrived, so e1.ts + upper < wm guarantees completeness for strict
-    // and non-strict bounds alike. Rows are sorted, so the complete lefts
-    // are a prefix of the live rows.
+    // arrived, so e1.ts + upper < wm guarantees completeness. Rows are
+    // sorted, so the complete lefts are a prefix of the live rows.
     const size_t due = end_of_stream
                            ? left.rows()
                            : LowerBoundTs(left.times, left.head, left.rows(),
@@ -61,11 +60,8 @@ Status IntervalJoinOperator::OnWatermark(Timestamp watermark, Collector* out) {
     }
     // Completed lefts leave. A right event e2 stays reachable while some
     // pending or future left event's window can contain it. Pending and
-    // future lefts have ts >= watermark - upper, so under a strict lower
-    // bound their partners lie above watermark - upper + lower. (A
-    // non-strict lower bound loses the partner at exactly that time of a
-    // left at exactly watermark - upper; the translator emits strict
-    // bounds only.)
+    // future lefts have ts >= watermark - upper, and the lower bound is
+    // strict, so their partners lie above watermark - upper + lower.
     return std::make_pair(
         due, end_of_stream
                  ? right.rows()

@@ -17,32 +17,23 @@ namespace cep2asp {
 /// \brief Relative time bounds of an interval join (optimization O1,
 /// paper §4.3.1).
 ///
-/// A left event e1 joins right events e2 with
-///   e1.ts + lower < e2.ts < e1.ts + upper   (strict bounds)
-/// or the <= variants when the corresponding *_strict flag is false.
+/// A left event e1 joins right events e2 in the open interval
+///   e1.ts + lower < e2.ts < e1.ts + upper.
 /// The conjunction uses (-W, +W); all other operators use (0, +W),
 /// encoding the sequence order constraint directly in the bound.
 struct IntervalBounds {
   Timestamp lower = 0;
   Timestamp upper = 0;
-  bool lower_strict = true;
-  bool upper_strict = true;
 
   static IntervalBounds ForConjunction(Timestamp w) {
-    return IntervalBounds{-w, w, true, true};
+    return IntervalBounds{-w, w};
   }
-  static IntervalBounds ForSequence(Timestamp w) {
-    return IntervalBounds{0, w, true, true};
-  }
+  static IntervalBounds ForSequence(Timestamp w) { return IntervalBounds{0, w}; }
 
   /// The bounds' definition: whether `right_ts` lies in the window of a
   /// left event at `left_ts`.
   bool Contains(Timestamp left_ts, Timestamp right_ts) const {
-    Timestamp lo = left_ts + lower;
-    Timestamp hi = left_ts + upper;
-    bool above = lower_strict ? right_ts > lo : right_ts >= lo;
-    bool below = upper_strict ? right_ts < hi : right_ts <= hi;
-    return above && below;
+    return right_ts > left_ts + lower && right_ts < left_ts + upper;
   }
 
   /// The rows of sorted `times[from, to)` whose time Contains(left_ts, ·)
@@ -51,12 +42,8 @@ struct IntervalBounds {
   std::pair<size_t, size_t> RightRange(const std::vector<Timestamp>& times,
                                        size_t from, size_t to,
                                        Timestamp left_ts) const {
-    const Timestamp lo = left_ts + lower;
-    const Timestamp hi = left_ts + upper;
-    const size_t first = lower_strict ? UpperBoundTs(times, from, to, lo)
-                                      : LowerBoundTs(times, from, to, lo);
-    const size_t last = upper_strict ? LowerBoundTs(times, first, to, hi)
-                                     : UpperBoundTs(times, first, to, hi);
+    const size_t first = UpperBoundTs(times, from, to, left_ts + lower);
+    const size_t last = LowerBoundTs(times, first, to, left_ts + upper);
     return {first, last};
   }
 };

@@ -303,6 +303,9 @@ op_cmp_attr_attr_off_fail : {
 #endif
 }
 
+// ---------------------------------------------------------------------------
+// Columnar (SoA) execution
+
 namespace {
 
 /// Monomorphizes a comparison loop over its CmpOp: the comparator becomes
@@ -330,80 +333,6 @@ void WithCmp(CmpOp op, F f) {
       return;
   }
 }
-
-inline Tuple* TupleAt(char* base, size_t stride_bytes, size_t i) {
-  return reinterpret_cast<Tuple*>(base + i * stride_bytes);
-}
-
-}  // namespace
-
-void ExprProgram::RunBatch(Tuple* first, size_t stride_bytes, size_t count,
-                           uint8_t* mask) const {
-  char* base = reinterpret_cast<char*>(first);
-  for (size_t i = 0; i < count; ++i) mask[i] = 1;
-  if (code_.empty()) return;
-  CEP2ASP_DCHECK(ok_) << "running a failed compilation";
-  for (const ExprInsn& insn : code_) {
-    switch (insn.op) {
-      case ExprOp::kCmpAttrConstFail: {
-        const Attribute attr = static_cast<Attribute>(insn.b);
-        const double rhs = const_pool_[insn.imm];
-        WithCmp(static_cast<CmpOp>(insn.c), [&](auto cmp) {
-          for (size_t i = 0; i < count; ++i) {
-            const Tuple* t = TupleAt(base, stride_bytes, i);
-            CEP2ASP_DCHECK(insn.a < t->size()) << "expr var out of range";
-            mask[i] &= static_cast<uint8_t>(
-                cmp(GetAttribute(t->begin()[insn.a], attr), rhs));
-          }
-        });
-        break;
-      }
-      case ExprOp::kCmpAttrAttrFail:
-      case ExprOp::kCmpAttrAttrOffFail: {
-        const Attribute lattr = static_cast<Attribute>(insn.b);
-        const Attribute rattr = static_cast<Attribute>(insn.e);
-        const double offset = insn.op == ExprOp::kCmpAttrAttrOffFail
-                                  ? const_pool_[insn.imm]
-                                  : 0.0;
-        WithCmp(static_cast<CmpOp>(insn.c), [&](auto cmp) {
-          for (size_t i = 0; i < count; ++i) {
-            const Tuple* t = TupleAt(base, stride_bytes, i);
-            CEP2ASP_DCHECK(insn.a < t->size() && insn.d < t->size())
-                << "expr var out of range";
-            mask[i] &= static_cast<uint8_t>(
-                cmp(GetAttribute(t->begin()[insn.a], lattr),
-                    GetAttribute(t->begin()[insn.d], rattr) + offset));
-          }
-        });
-        break;
-      }
-      case ExprOp::kStoreKeyAttr: {
-        const Attribute attr = static_cast<Attribute>(insn.b);
-        for (size_t i = 0; i < count; ++i) {
-          if (!mask[i]) continue;
-          Tuple* t = TupleAt(base, stride_bytes, i);
-          CEP2ASP_DCHECK(insn.a < t->size()) << "expr var out of range";
-          t->set_key(AttributeToKey(GetAttribute(t->begin()[insn.a], attr)));
-        }
-        break;
-      }
-      case ExprOp::kStoreKeyConst: {
-        const int64_t key = key_pool_[insn.imm];
-        for (size_t i = 0; i < count; ++i) {
-          if (mask[i]) TupleAt(base, stride_bytes, i)->set_key(key);
-        }
-        break;
-      }
-      case ExprOp::kHalt:
-        return;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Columnar (SoA) execution
-
-namespace {
 
 #if CEP2ASP_EXPR_SIMD
 

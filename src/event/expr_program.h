@@ -122,26 +122,12 @@ class ExprProgram {
   /// tuple. Returns the filter verdict (true when no filter terms exist).
   bool Run(Tuple* tuple) const;
 
-  /// Vectorized execution: runs the program over `count` tuples laid out
-  /// `stride_bytes` apart (tuple i at `(char*)first + i * stride_bytes` —
-  /// a strided view over e.g. an executor MessageBatch, without this
-  /// layer knowing the surrounding struct). Writes the filter verdict
-  /// into mask[i] (1 pass / 0 fail) and applies key stores to passing
-  /// tuples.
-  ///
-  /// The point is loop interchange: instead of dispatching every
-  /// instruction per tuple, each term opcode runs as one tight
-  /// branch-predictable loop across the whole batch, ANDing into the
-  /// selection mask — the columnar execution model of vectorized query
-  /// engines.
-  void RunBatch(Tuple* first, size_t stride_bytes, size_t count,
-                uint8_t* mask) const;
-
   /// Columnar execution: runs the program over SoA columns (see
-  /// ExprColumnarView). Each term opcode becomes one tight loop over two
-  /// contiguous double columns ANDing into the mask — unlike RunBatch's
-  /// strided tuple loads this vectorizes (explicit SSE2/AVX2 kernels when
-  /// built with CEP2ASP_SIMD, auto-vectorizable scalar loops otherwise).
+  /// ExprColumnarView). Loop interchange: instead of dispatching every
+  /// instruction per tuple, each term opcode becomes one tight loop over
+  /// two contiguous double columns ANDing into the mask, which vectorizes
+  /// (explicit SSE2/AVX2 kernels when built with CEP2ASP_SIMD,
+  /// auto-vectorizable scalar loops otherwise).
   /// Comparison semantics are bit-identical to EvalCmp including IEEE NaN
   /// ordering (every comparison but != is false). Writes mask[0..count)
   /// and applies key stores to still-masked rows.

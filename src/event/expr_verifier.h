@@ -27,7 +27,7 @@ namespace cep2asp {
 ///    comparators, and pool indices are within the respective pool.
 ///
 /// The same bounds cover both execution modes of a program. Row-major
-/// (Run / RunBatch) reads `events[var]`; columnar (RunColumnar) reads
+/// (Run) reads `events[var]`; columnar (RunColumnar) reads
 /// column `var * kNumEventAttrs + attr` of an ExprColumnarView, and an
 /// event operand < max_events with an attribute slot <= kAuxTs bounds
 /// that index below the view's `max_events * kNumEventAttrs` columns.

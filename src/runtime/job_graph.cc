@@ -279,7 +279,43 @@ ChainBreak ClassifyEdge(const JobGraph& graph, NodeId from,
   return ChainBreak::kChained;
 }
 
+/// Why `edge` cannot carry column blocks, or null when it can.
+const char* BlockCarryBarrier(const JobGraph& graph,
+                              const JobGraph::Edge& edge) {
+  if (edge.partition == PartitionMode::kBroadcast) {
+    return "broadcast would deep-copy blocks";
+  }
+  if (edge.partition == PartitionMode::kHash &&
+      graph.parallelism(edge.to) > 1) {
+    return "hash edge into a parallel consumer routes rows";
+  }
+  const JobGraph::Node& consumer = graph.node(edge.to);
+  if (consumer.op == nullptr || !consumer.op->Traits().columnar_capable) {
+    return "consumer is row-major";
+  }
+  return nullptr;
+}
+
 }  // namespace
+
+EdgeBatchVerdict ChooseEdgeBatch(const JobGraph& graph, NodeId from,
+                                 size_t out_idx) {
+  const JobGraph::Node& producer = graph.node(from);
+  if (!producer.is_source()) {
+    const OperatorTraits traits = producer.op->Traits();
+    if (!traits.columnar_capable || traits.stateful) {
+      return {EdgeBatch::kRows, "producer emits rows"};
+    }
+  }
+  const char* barrier = BlockCarryBarrier(graph, producer.outputs[out_idx]);
+  if (barrier != nullptr) return {EdgeBatch::kScatter, barrier};
+  for (const JobGraph::Edge& sibling : producer.outputs) {
+    if (BlockCarryBarrier(graph, sibling) != nullptr) {
+      return {EdgeBatch::kScatter, "sibling edge cannot carry blocks"};
+    }
+  }
+  return {EdgeBatch::kBlocks, nullptr};
+}
 
 ChainLayout ComputeChainLayout(const JobGraph& graph) {
   ChainLayout layout;

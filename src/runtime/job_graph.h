@@ -239,6 +239,39 @@ struct ChainLayout {
 ///   - both nodes have equal parallelism (subtask i hands to subtask i).
 ChainLayout ComputeChainLayout(const JobGraph& graph);
 
+// --- Batch layout per edge (SoA transfer) --------------------------------
+
+/// How a producer's output crosses one of its out-edges.
+enum class EdgeBatch : uint8_t {
+  /// Whole ColumnarBatch blocks: one channel envelope per block, or one
+  /// ProcessColumnar call on a fused consumer.
+  kBlocks,
+  /// The producer emits blocks but the edge cannot carry them: they are
+  /// scattered back to rows at the boundary.
+  kScatter,
+  /// The producer emits rows only.
+  kRows,
+};
+
+struct EdgeBatchVerdict {
+  EdgeBatch layout = EdgeBatch::kRows;
+  /// Why the edge does not ship blocks; null for kBlocks.
+  const char* reason = nullptr;
+};
+
+/// The one rule choosing the batch layout of out-edge `out_idx` of `from`,
+/// shared by the executor's RoutingCollector and the I322 report. Sources
+/// (uniform-arity batches) and stateless `columnar_capable` operators
+/// (which compact an input block in place and re-emit it) emit blocks;
+/// every other operator — joins, NSEQ marking, unions — emits rows. An
+/// edge carries blocks when it is forward, or hash into a parallelism-1
+/// consumer, and the consumer is columnar-capable. Blocks travel only when
+/// EVERY out-edge of the producer can carry them: a fan-out with one
+/// row-major edge scatters once instead of paying both a block copy and a
+/// scatter for the same rows.
+EdgeBatchVerdict ChooseEdgeBatch(const JobGraph& graph, NodeId from,
+                                 size_t out_idx);
+
 }  // namespace cep2asp
 
 #endif  // CEP2ASP_RUNTIME_JOB_GRAPH_H_

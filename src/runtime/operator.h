@@ -25,17 +25,6 @@ class Collector {
   virtual ~Collector() = default;
   virtual void Emit(Tuple tuple) = 0;
 
-  /// Batch emission: hands over a whole batch of data messages (all
-  /// kTuple, already on the emitting operator's output). The default
-  /// unpacks per tuple; batching collectors override it to move the batch
-  /// downstream in one hop (splice into the pending buffer, or a single
-  /// ProcessBatch call on the next chained operator). The batch is
-  /// consumed either way and left empty for reuse.
-  virtual void EmitBatch(MessageBatch* batch) {
-    for (Message& msg : *batch) Emit(std::move(msg.tuple));
-    batch->clear();
-  }
-
   /// Columnar emission: hands over a whole column block. The default
   /// scatters row by row (the gather/scatter shim at a columnar ->
   /// row-major boundary); columnar-capable collectors override it to move
@@ -55,7 +44,6 @@ class Collector {
 class NullCollector : public Collector {
  public:
   void Emit(Tuple) override {}
-  void EmitBatch(MessageBatch* batch) override { batch->clear(); }
   void EmitColumnar(std::unique_ptr<ColumnarBatch>) override {}
 };
 
@@ -135,10 +123,12 @@ struct OperatorTraits {
   /// means no bound has been derived. The cost-based-optimizer Open item
   /// consumes this.
   double selectivity_bound = -1.0;
-  /// Consumes and emits ColumnarBatch natively (ProcessColumnar is a real
-  /// override, not the scatter shim). Producers negotiate the SoA transfer
-  /// path per edge against this bit; row-major operators keep the default
-  /// and receive gathered/scattered rows transparently.
+  /// Ingests ColumnarBatch natively (ProcessColumnar is a real override,
+  /// not the scatter shim). A stateless columnar-capable operator also
+  /// re-emits the blocks it filtered; a stateful one (a join) buffers the
+  /// rows and emits its matches as rows. ChooseEdgeBatch (job_graph.h)
+  /// reads both answers off this bit and `stateful`; row-major operators
+  /// keep the default and receive scattered rows transparently.
   bool columnar_capable = false;
 };
 
@@ -170,9 +160,9 @@ class Operator {
 
   /// Handles a homogeneous run of data messages (all kTuple, all on
   /// `input`) in one call. The batch is consumed and left empty. The
-  /// default unpacks into per-tuple Process calls — semantically the
-  /// baseline; compiled stateless operators override it with a tight
-  /// compact-in-place loop that never takes the per-tuple virtual hops.
+  /// default unpacks into per-tuple Process calls; the executor hands a
+  /// chain head every homogeneous row batch this way (join -> join and
+  /// join -> sink traffic), so decorators can account for it per batch.
   virtual Status ProcessBatch(int input, MessageBatch* batch, Collector* out) {
     for (Message& msg : *batch) {
       Status status = Process(input, std::move(msg.tuple), out);
@@ -189,7 +179,8 @@ class Operator {
   /// consumed. The default scatters back into a row-major batch and
   /// forwards to ProcessBatch (the boundary shim for operators that do not
   /// declare `columnar_capable`); columnar-capable operators override it
-  /// to filter the columns in place and re-emit the block.
+  /// (compiled stages filter the columns in place and re-emit the block,
+  /// joins append the columns to their window store).
   virtual Status ProcessColumnar(int input, std::unique_ptr<ColumnarBatch> block,
                                  Collector* out) {
     MessageBatch rows;

@@ -31,7 +31,7 @@ PhysicalLayout::PhysicalLayout(const JobGraph& graph,
 RoutingCollector::RoutingCollector(const JobGraph* graph, NodeId node,
                                    int subtask, const PhysicalLayout* layout,
                                    std::vector<NodeChannels>* channels,
-                                   size_t batch_size, bool enable_columnar)
+                                   size_t batch_size)
     : batch_size_(std::max<size_t>(1, batch_size)),
       cur_batch_(std::max<size_t>(1, batch_size)) {
   const JobGraph::Node& producer = graph->node(node);
@@ -43,32 +43,14 @@ RoutingCollector::RoutingCollector(const JobGraph* graph, NodeId node,
     out.consumer_parallelism = graph->parallelism(edge.to);
     out.slot = layout->edge_slot_base[static_cast<size_t>(node)][i] + subtask;
     out.fixed_target = -1;
-    if (edge.partition == PartitionMode::kForward) {
-      if (out.consumer_parallelism == 1) {
-        out.fixed_target = 0;  // the historical single-instance path
-      } else if (producer.parallelism == out.consumer_parallelism) {
-        out.fixed_target = subtask;  // chained subtask-local hand-off
-      }
-      // else: round-robin rebalance via rr_cursor.
+    if (edge.partition != PartitionMode::kBroadcast &&
+        out.consumer_parallelism == 1) {
+      out.fixed_target = 0;  // every key and every row routes to subtask 0
+    } else if (edge.partition == PartitionMode::kForward &&
+               producer.parallelism == out.consumer_parallelism) {
+      out.fixed_target = subtask;  // chained subtask-local hand-off
     }
-    // SoA negotiation, per edge: a forward edge into a columnar-capable
-    // consumer carries blocks whole, and so does a hash edge into a
-    // parallelism-1 one (every key routes to subtask 0). Hash edges into
-    // parallel consumers, broadcast edges and row-major consumers keep the
-    // row-major path.
-    if (enable_columnar &&
-        layout->edge_slot_base[static_cast<size_t>(node)][i] >= 0) {
-      const JobGraph::Node& consumer = graph->node(edge.to);
-      if (consumer.op != nullptr && consumer.op->Traits().columnar_capable) {
-        if (edge.partition == PartitionMode::kForward) {
-          out.whole_blocks = true;
-        } else if (edge.partition == PartitionMode::kHash &&
-                   out.consumer_parallelism == 1) {
-          out.whole_blocks = true;
-          out.fixed_target = 0;
-        }
-      }
-    }
+    // else: hash routing, or round-robin rebalance via rr_cursor.
     out.first_target = static_cast<int>(targets_.size());
     for (int s = 0; s < out.consumer_parallelism; ++s) {
       Target target;
@@ -87,13 +69,10 @@ RoutingCollector::RoutingCollector(const JobGraph* graph, NodeId node,
     }
     edges_.push_back(out);
   }
-  // Blocks travel only when EVERY out-edge can carry them: a fan-out with
-  // one row-major edge scatters once instead of paying both a block copy
-  // and a scatter for the same rows.
-  columnar_ok_ = !edges_.empty();
-  for (const OutEdge& e : edges_) {
-    if (!e.whole_blocks) columnar_ok_ = false;
-  }
+  // The rule is all-or-nothing across a producer's out-edges, so edge 0
+  // speaks for every edge.
+  ships_blocks_ = !edges_.empty() &&
+                  ChooseEdgeBatch(*graph, node, 0).layout == EdgeBatch::kBlocks;
 }
 
 int RoutingCollector::Route(OutEdge& e, const Tuple& tuple) {
@@ -137,29 +116,6 @@ void RoutingCollector::Emit(Tuple tuple) {
          Message::Data(e.port, std::move(tuple), e.slot));
 }
 
-void RoutingCollector::EmitBatch(MessageBatch* batch) {
-  if (edges_.empty()) {
-    batch->clear();
-    return;
-  }
-  if (edges_.size() == 1 && edges_[0].fixed_target >= 0) {
-    OutEdge& e = edges_[0];
-    const int t = e.first_target + e.fixed_target;
-    Target& target = targets_[static_cast<size_t>(t)];
-    // No per-message port/slot rewrite: the target's batch header carries
-    // them once and the channel stamps at the push boundary.
-    for (Message& msg : *batch) {
-      target.pending.push_back(std::move(msg));
-    }
-    batch->clear();
-    if (target.pending.size() >= cur_batch_ && !target.stuck) FlushTarget(t);
-    return;
-  }
-  // Hash / broadcast / fan-out: per-tuple routing.
-  for (Message& msg : *batch) Emit(std::move(msg.tuple));
-  batch->clear();
-}
-
 void RoutingCollector::RouteBlock(OutEdge& e,
                                   std::unique_ptr<ColumnarBatch> block) {
   const int sub =
@@ -177,8 +133,8 @@ void RoutingCollector::RouteBlock(OutEdge& e,
 
 void RoutingCollector::EmitColumnar(std::unique_ptr<ColumnarBatch> block) {
   if (block == nullptr || block->rows() == 0) return;
-  if (!columnar_ok_) {
-    // Scatter shim: some out-edge did not negotiate columnar transfer.
+  if (!ships_blocks_) {
+    // Scatter shim: some out-edge cannot carry blocks.
     // Rows are attributed to the receiving channels' scattered_rows so
     // the layout report's residual scatter stays measurable.
     in_scatter_ = true;
@@ -266,21 +222,6 @@ void ChainedCollector::Emit(Tuple tuple) {
   if (!st.ok()) *chain_status_ = st.WithContext(next_->name());
 }
 
-void ChainedCollector::EmitBatch(MessageBatch* batch) {
-  if (!chain_status_->ok() || batch->empty()) {
-    batch->clear();
-    return;
-  }
-  *handed_over_ += static_cast<int64_t>(batch->size());
-  if (invariants_ != nullptr) {
-    for (const Message& msg : *batch) {
-      invariants_->OnPhysicalTuple(node_, subtask_, subtask_, msg.tuple);
-    }
-  }
-  Status st = next_->ProcessBatch(port_, batch, downstream_);
-  if (!st.ok()) *chain_status_ = st.WithContext(next_->name());
-}
-
 void ChainedCollector::EmitColumnar(std::unique_ptr<ColumnarBatch> block) {
   if (!chain_status_->ok() || block == nullptr || block->rows() == 0) return;
   *handed_over_ += static_cast<int64_t>(block->rows());
@@ -304,7 +245,7 @@ SourceTask::SourceTask(const TaskContext* ctx, NodeId node, Source* source)
       source_(source),
       label_("src:" + source->name()),
       router_(ctx->graph, node, /*subtask=*/0, ctx->layout, ctx->channels,
-              ctx->batch_size, ctx->enable_columnar),
+              ctx->batch_size),
       cur_batch_(std::max<size_t>(1, ctx->batch_size)) {
   staged_.reserve(cur_batch_);
 }
@@ -376,7 +317,7 @@ Quantum SourceTask::RunQuantum() {
       ctx_->tuples_ingested->fetch_add(static_cast<int64_t>(staged_.size()),
                                        std::memory_order_relaxed);
       bool gathered = false;
-      if (router_.columnar_eligible()) {
+      if (router_.ships_blocks()) {
         // SoA gather point: the staged rows become one column block and
         // travel as a single channel envelope. Blocks are shaped per
         // arity; a mixed-arity batch (never produced by the bundled
@@ -445,7 +386,7 @@ ChainTask::ChainTask(const TaskContext* ctx,
       subtask_(subtask),
       ops_(std::move(ops)),
       router_(ctx->graph, chain_nodes->back(), subtask, ctx->layout,
-              ctx->channels, ctx->batch_size, ctx->enable_columnar),
+              ctx->channels, ctx->batch_size),
       aligner_(
           ctx->layout->num_slots[static_cast<size_t>(chain_nodes->front())]),
       cur_batch_(std::max<size_t>(1, ctx->batch_size)) {
@@ -505,9 +446,8 @@ Status ChainTask::CascadeFinish() {
 void ChainTask::ProcessBatch(MessageBatch* batch) {
   const NodeId head = chain_nodes_->front();
   // Steady-state fast path: a batch of only data messages on one port goes
-  // to the head operator's ProcessBatch in a single call. Compiled
-  // stateless heads run it as one tight loop; everything else falls back
-  // to the identical per-tuple default.
+  // to the head operator's ProcessBatch in a single call (the default
+  // unpacks it into per-tuple Process calls).
   if (!batch->empty() && !aligner_.done()) {
     const int port = batch->front().port;
     bool homogeneous = true;

@@ -70,38 +70,24 @@ struct PhysicalLayout {
 /// flushing, never by re-appending.
 class RoutingCollector : public Collector {
  public:
-  /// `enable_columnar` turns on SoA transfer negotiation, per out-edge:
-  /// forward edges and parallelism-1 hash edges into columnar-capable
-  /// consumers ship whole column blocks; hash edges into parallel
-  /// consumers, broadcast edges and row-major consumers stay row-major.
-  /// Blocks travel only when EVERY out-edge can carry them (fan-out
-  /// copies the block per edge, moving the last), otherwise EmitColumnar
-  /// scatters row by row.
+  /// The batch layout of every out-edge comes from ChooseEdgeBatch
+  /// (job_graph.h), the rule the I322 report prints.
   RoutingCollector(const JobGraph* graph, NodeId node, int subtask,
                    const PhysicalLayout* layout,
-                   std::vector<NodeChannels>* channels, size_t batch_size,
-                   bool enable_columnar = false);
+                   std::vector<NodeChannels>* channels, size_t batch_size);
 
   void Emit(Tuple tuple) override;
 
-  /// Batch fast path: a single-forward-edge producer (the common chained
-  /// tail) splices the whole batch into the target's pending buffer — one
-  /// move per message, port/slot deduplicated into the buffer's batch
-  /// header (the channel stamps at the push boundary) — instead of a
-  /// per-tuple Route/Append. Other shapes fall back to per-tuple Emit.
-  void EmitBatch(MessageBatch* batch) override;
-
-  /// Columnar fast path: when every out-edge negotiated columnar transfer
-  /// (see ctor), the block travels as one kColumnar envelope per edge, to
-  /// a fixed or round-robin target. Ineligible shapes (parallel hash
-  /// edges, broadcast edges, row-major consumers) scatter row by row via
-  /// the base-class shim, with the scattered rows attributed to the
+  /// Columnar fast path: when the out-edges carry blocks (see
+  /// ships_blocks), the block travels as one kColumnar envelope per edge,
+  /// to a fixed or round-robin target. Otherwise it scatters row by row
+  /// via the base-class shim, with the scattered rows attributed to the
   /// receiving channels.
   void EmitColumnar(std::unique_ptr<ColumnarBatch> block) override;
 
   /// True when EmitColumnar ships blocks whole instead of scattering;
-  /// producers consult this before paying the gather.
-  bool columnar_eligible() const { return columnar_ok_; }
+  /// sources consult this before paying the gather.
+  bool ships_blocks() const { return ships_blocks_; }
 
   /// Best-effort push of every pending buffer that is not already stuck;
   /// the task checks stuck() afterwards.
@@ -137,9 +123,6 @@ class RoutingCollector : public Collector {
   struct OutEdge {
     int port = 0;
     PartitionMode mode = PartitionMode::kForward;
-    /// The edge carries column blocks whole, one envelope to the routed
-    /// target; otherwise blocks reach it through the scatter shim.
-    bool whole_blocks = false;
     int consumer_parallelism = 1;
     int slot = 0;           // consumer-side slot this producer subtask owns
     int fixed_target = -1;  // forward short-circuit; -1 = dynamic routing
@@ -159,7 +142,7 @@ class RoutingCollector : public Collector {
 
   const size_t batch_size_;
   size_t cur_batch_;
-  bool columnar_ok_ = false;
+  bool ships_blocks_ = false;
   /// Set while the EmitColumnar scatter shim runs, so Append attributes
   /// the per-row messages to the receiving channel's scattered_rows.
   bool in_scatter_ = false;
@@ -192,11 +175,6 @@ class ChainedCollector : public Collector {
 
   void Emit(Tuple tuple) override;
 
-  /// Hands a whole data batch to the next operator's ProcessBatch in one
-  /// virtual call — batches emitted by a compiled operator flow down the
-  /// rest of the chain without re-splitting into per-tuple hops.
-  void EmitBatch(MessageBatch* batch) override;
-
   /// Hands a column block to the next operator's ProcessColumnar in one
   /// virtual call; a row-major next scatters through its base-class shim.
   void EmitColumnar(std::unique_ptr<ColumnarBatch> block) override;
@@ -225,8 +203,6 @@ struct TaskContext {
   std::vector<std::vector<int64_t>>* fused_tuples = nullptr;
   size_t batch_size = 64;
   int watermark_interval = 256;
-  /// Negotiate SoA (columnar) transfer on eligible edges.
-  bool enable_columnar = false;
   Clock* clock = nullptr;
   InvariantChecker* invariants = nullptr;  // null outside debug wiring
   std::function<void(const Status&)> record_error;

@@ -148,7 +148,6 @@ ExecutionResult ThreadedExecutor::Run(const CollectSink* sink) {
   ctx.invariants = invariants;
   ctx.record_error = record_error;
   ctx.tuples_ingested = &tuples_ingested;
-  ctx.enable_columnar = options_.enable_columnar;
 
   std::vector<std::unique_ptr<Task>> tasks;
   // Producing task(s) of every node: sources have one task, operator

@@ -32,15 +32,6 @@ struct ThreadedExecutorOptions {
   /// Worker pool size; 0 means std::thread::hardware_concurrency().
   int worker_threads = 0;
 
-  /// Negotiate columnar (SoA) transfer per edge: forward edges and
-  /// parallelism-1 hash edges into a columnar-capable consumer carry
-  /// ColumnarBatch blocks as one channel envelope, and the consumer runs
-  /// its compiled predicate column-at-a-time; every other edge — hash
-  /// edges into parallel consumers included — and every row-major
-  /// operator go through transparent gather/scatter shims. Off restores
-  /// the pure row-major paths for A/B runs.
-  bool enable_columnar = true;
-
   Clock* clock = nullptr;
 };
 
@@ -73,7 +64,8 @@ struct ThreadedExecutorOptions {
 /// traffic.
 ///
 /// Tuples cross boundary edges in MessageBatches (one channel
-/// synchronization per batch, not per tuple); physical-fan-in-1 channels
+/// synchronization per batch, not per tuple), and whole ColumnarBatch
+/// blocks on the edges ChooseEdgeBatch picks; physical-fan-in-1 channels
 /// ride a lock-free SPSC ring, the rest a mutex queue. The
 /// single-threaded PipelineExecutor remains the deterministic logical
 /// reference (it ignores parallelism); correctness tests assert both

@@ -1,6 +1,6 @@
 // Columnar (SoA) execution tests: RunColumnar over a ColumnarBatch must be
-// observationally identical to the row-major RunBatch path for every fused
-// program over every input — including NaN / ±inf attribute values, all six
+// observationally identical to per-tuple Run for every fused program over
+// every input — including NaN / ±inf attribute values, all six
 // comparators, and key-assigning programs — and the gather/scatter shims
 // must reproduce rows bit-for-bit. The SIMD kernels (when CEP2ASP_SIMD is
 // on) and the scalar fallback share these tests: the mask is the contract.
@@ -133,10 +133,10 @@ std::map<std::string, int> Multiset(const std::vector<Tuple>& tuples) {
   return ms;
 }
 
-// RunColumnar's mask must equal RunBatch's mask for every fused program
-// over every input pattern, all six comparators and the IEEE specials
-// included — the differential property gating the whole SoA path.
-TEST(ColumnarTest, RunColumnarMatchesRowMajorRunBatch) {
+// RunColumnar's mask must equal per-tuple Run's verdict for every fused
+// program over every input pattern, all six comparators and the IEEE
+// specials included — the differential property gating the whole SoA path.
+TEST(ColumnarTest, RunColumnarMatchesPerTupleRun) {
   std::mt19937_64 rng(0xc01c0001);
   for (int iter = 0; iter < 300; ++iter) {
     const int arity = 1 + static_cast<int>(rng() % 4);
@@ -154,12 +154,9 @@ TEST(ColumnarTest, RunColumnarMatchesRowMajorRunBatch) {
       batch.AppendTuple(tuples.back());
     }
 
-    std::vector<uint8_t> row_mask(n == 0 ? 1 : n, 0);
-    program.RunBatch(tuples.data(), sizeof(Tuple), n, row_mask.data());
-
     program.RunColumnar(batch.View());
     for (size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(batch.mask()[i] != 0, row_mask[i] != 0)
+      EXPECT_EQ(batch.mask()[i] != 0, program.Run(&tuples[i]))
           << "row " << i << "\n" << pred.ToString() << "\n"
           << program.ToString();
     }
@@ -261,9 +258,9 @@ TEST(ColumnarTest, CompactKeepsSurvivorsInOrder) {
   EXPECT_EQ(batch.num_slots(), 2u);
 }
 
-// The compiled operator's columnar path must emit the same multiset the
-// row-major batch path emits, through the default scatter shim.
-TEST(ColumnarTest, ProcessColumnarMatchesProcessBatch) {
+// The compiled operator's columnar path must emit the same multiset as
+// per-tuple Process over the same rows.
+TEST(ColumnarTest, ProcessColumnarMatchesPerTupleProcess) {
   std::mt19937_64 rng(0xc01c0005);
   static const Attribute kKeyAttrs[] = {Attribute::kId, Attribute::kTs,
                                         Attribute::kAuxTs};
@@ -278,16 +275,16 @@ TEST(ColumnarTest, ProcessColumnarMatchesProcessBatch) {
 
     const size_t n = rng() % 65;
     std::vector<Tuple> inputs;
-    MessageBatch rows;
     auto block = std::make_unique<ColumnarBatch>(1);
     for (size_t i = 0; i < n; ++i) {
       inputs.push_back(RandomTuple(rng, 1, /*non_finite=*/true));
-      rows.push_back(Message::Data(0, inputs.back()));
       block->AppendTuple(inputs.back());
     }
 
     VectorCollector row_out;
-    ASSERT_TRUE(compiled.ProcessBatch(0, &rows, &row_out).ok());
+    for (const Tuple& input : inputs) {
+      ASSERT_TRUE(compiled.Process(0, input, &row_out).ok());
+    }
     VectorCollector col_out;
     ASSERT_TRUE(compiled.ProcessColumnar(0, std::move(block), &col_out).ok());
     EXPECT_EQ(Multiset(col_out.tuples), Multiset(row_out.tuples))
@@ -320,8 +317,6 @@ TEST(ColumnarTest, JoinProcessColumnarMatchesRowMajorIngest) {
     IntervalBounds bounds;
     bounds.lower = static_cast<Timestamp>(rng() % 41) - 20;
     bounds.upper = bounds.lower + static_cast<Timestamp>(rng() % 40);
-    bounds.lower_strict = rng() % 2 == 0;
-    bounds.upper_strict = rng() % 2 == 0;
     const Predicate cond = RandomPredicate(rng, l_arity + r_arity);
     const TimestampMode mode =
         rng() % 2 ? TimestampMode::kMax : TimestampMode::kMin;

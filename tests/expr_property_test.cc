@@ -3,12 +3,13 @@
 // replaces — same verdict for every predicate over every input, including
 // NaN / ±inf attribute values and constants (comparisons share EvalCmp, so
 // IEEE semantics carry over), and multiset-equal operator outputs when a
-// fused filter→key program runs a whole batch against the interpreted
-// FilterOperator + MapOperator pair.
+// fused filter→key program runs a whole column block against the
+// interpreted FilterOperator + MapOperator pair.
 
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <memory>
 #include <random>
 #include <string>
 #include <utility>
@@ -21,6 +22,7 @@
 #include "event/expr_program.h"
 #include "event/expr_verifier.h"
 #include "event/predicate.h"
+#include "runtime/columnar_batch.h"
 #include "runtime/operator.h"
 
 namespace cep2asp {
@@ -169,16 +171,19 @@ TEST(ExprPropertyTest, FusedFilterKeyBatchesMatchInterpretedOperators) {
 
     // Key attributes stay integral (ids, timestamps); the measurement
     // attributes the filter looks at may still be NaN / ±inf.
-    MessageBatch batch;
+    auto block = std::make_unique<ColumnarBatch>(1);
     const size_t n = rng() % 65;
     std::vector<Tuple> inputs;
     for (size_t i = 0; i < n; ++i) {
       inputs.emplace_back(RandomEvent(rng, /*non_finite=*/true));
-      batch.push_back(Message::Data(0, inputs.back()));
+      block->AppendTuple(inputs.back());
     }
 
+    // Filtered column-wise, then scattered back to rows by the
+    // collector's default EmitColumnar.
     VectorCollector compiled_out;
-    ASSERT_TRUE(compiled.ProcessBatch(0, &batch, &compiled_out).ok());
+    ASSERT_TRUE(
+        compiled.ProcessColumnar(0, std::move(block), &compiled_out).ok());
 
     VectorCollector interpreted_out;
     for (const Tuple& tuple : inputs) {

@@ -215,8 +215,6 @@ IntervalBounds RandomBounds(std::mt19937_64& rng) {
       // One in four scripts has an empty-width window, lower == upper.
       const Timestamp width = static_cast<Timestamp>(rng() % 40);
       bounds.upper = bounds.lower + (rng() % 4 == 0 ? 0 : width);
-      bounds.lower_strict = rng() % 2 == 0;
-      bounds.upper_strict = rng() % 2 == 0;
       return bounds;
     }
   }
@@ -285,10 +283,8 @@ TEST(IntervalJoinReferenceTest, MatchesReferenceImplementation) {
     ASSERT_TRUE(op.Open().ok());
     const std::string context =
         "script " + std::to_string(iter) + ": " + script.condition.ToString() +
-        " bounds=" + (script.bounds.lower_strict ? "(" : "[") +
-        std::to_string(script.bounds.lower) + "," +
-        std::to_string(script.bounds.upper) +
-        (script.bounds.upper_strict ? ")" : "]") +
+        " bounds=(" + std::to_string(script.bounds.lower) + "," +
+        std::to_string(script.bounds.upper) + ")" +
         " arity=" + std::to_string(script.arity[0]) + "+" +
         std::to_string(script.arity[1]);
 

@@ -1008,14 +1008,16 @@ TEST(ThreadedExecutorTest, ColumnarHashEdgeCountsBlocksRowsAndSkew) {
   // block-producing operator scatters rows individually through the shim:
   // scattered_rows accounts for every row, no block crosses the edge, and
   // PartitionSkew still counts every row — accounting is
-  // layout-independent. I322 must predict each layout before the run.
+  // layout-independent. I322 must predict each layout before the run, and
+  // report the join's out-edge as row-major: the join emits rows.
   auto make_program = [] {
     Predicate pass;  // empty filter: every row survives to the key stage
     return ExprProgram::Fuse(
         ExprProgram::Filter(pass, ExprProgram::VarMode::kBroadcast),
         ExprProgram::KeyByAttribute(0, Attribute::kId));
   };
-  auto run = [&](int parallelism, std::vector<std::string>* join_notes) {
+  auto run = [&](int parallelism, std::vector<std::string>* join_notes,
+                 std::vector<std::string>* join_out_notes) {
     JobGraph graph;
     NodeId l = graph.AddSource(
         std::make_unique<VectorSource>("l", MakeEvents(0, 60)));
@@ -1039,18 +1041,19 @@ TEST(ThreadedExecutorTest, ColumnarHashEdgeCountsBlocksRowsAndSkew) {
       if (d.message.find("(join)") != std::string::npos) {
         join_notes->push_back(d.message);
       }
+      if (d.location.find("(join)") != std::string::npos) {
+        join_out_notes->push_back(d.message);
+      }
     }
-    ThreadedExecutorOptions options;
-    options.enable_columnar = true;
-    ThreadedExecutor executor(&graph, options);
+    ThreadedExecutor executor(&graph);
     ExecutionResult result = executor.Run(sink);
     EXPECT_TRUE(result.ok) << result.error;
     return result;
   };
 
   for (int parallelism : {1, 4}) {
-    std::vector<std::string> join_notes;
-    ExecutionResult result = run(parallelism, &join_notes);
+    std::vector<std::string> join_notes, join_out_notes;
+    ExecutionResult result = run(parallelism, &join_notes, &join_out_notes);
     // One I322 note per join input edge.
     ASSERT_EQ(join_notes.size(), 2u) << "parallelism=" << parallelism;
     for (const std::string& note : join_notes) {
@@ -1061,6 +1064,12 @@ TEST(ThreadedExecutorTest, ColumnarHashEdgeCountsBlocksRowsAndSkew) {
                 std::string::npos)
           << note;
     }
+    // The join -> sink edge is fused at P=1 and a channel at P=4; it
+    // carries rows either way.
+    ASSERT_EQ(join_out_notes.size(), 1u) << "parallelism=" << parallelism;
+    EXPECT_NE(join_out_notes[0].find(": row-major (producer emits rows)"),
+              std::string::npos)
+        << join_out_notes[0];
     int64_t join_rows = 0, join_blocks = 0, join_block_rows = 0,
             join_scattered = 0;
     for (const ChannelStats& stats : result.channel_stats) {

@@ -101,26 +101,16 @@ TEST(IntervalBoundsTest, ConjunctionBoundsSymmetric) {
   }
 }
 
-TEST(IntervalBoundsTest, NonStrictVariants) {
-  IntervalBounds bounds{0, 10, /*lower_strict=*/false, /*upper_strict=*/false};
-  EXPECT_TRUE(bounds.Contains(100, 100));
-  EXPECT_TRUE(bounds.Contains(100, 110));
-  EXPECT_FALSE(bounds.Contains(100, 111));
-  EXPECT_FALSE(bounds.Contains(100, 99));
-}
-
 TEST(IntervalBoundsTest, RightRangeIsExactlyTheContainedRows) {
   // The interval join takes each left's partners as RightRange over the
   // sorted right times; it must select exactly the rows Contains accepts,
-  // for every strictness combination, with duplicates and lower == upper.
+  // with duplicates, rows on both bounds and lower == upper.
   std::mt19937_64 rng(0xb0a4d5);
   for (int iter = 0; iter < 4000; ++iter) {
     IntervalBounds bounds;
     bounds.lower = static_cast<Timestamp>(rng() % 41) - 20;
     const Timestamp width = static_cast<Timestamp>(rng() % 30);
     bounds.upper = bounds.lower + (rng() % 4 == 0 ? 0 : width);
-    bounds.lower_strict = (iter & 1) != 0;
-    bounds.upper_strict = (iter & 2) != 0;
     std::vector<Timestamp> times(rng() % 25);
     for (Timestamp& t : times) t = static_cast<Timestamp>(rng() % 40);
     std::sort(times.begin(), times.end());
@@ -130,8 +120,7 @@ TEST(IntervalBoundsTest, RightRangeIsExactlyTheContainedRows) {
     for (size_t r = 0; r < times.size(); ++r) {
       EXPECT_EQ(r >= first && r < last, bounds.Contains(left, times[r]))
           << "iter " << iter << " left=" << left << " right=" << times[r]
-          << " bounds=" << bounds.lower << "," << bounds.upper << " strict="
-          << bounds.lower_strict << bounds.upper_strict;
+          << " bounds=" << bounds.lower << "," << bounds.upper;
     }
     EXPECT_LE(first, last);
   }
