@@ -1,11 +1,10 @@
 #ifndef CEP2ASP_RUNTIME_BOUNDED_QUEUE_H_
 #define CEP2ASP_RUNTIME_BOUNDED_QUEUE_H_
 
-#include <algorithm>
-#include <deque>
 #include <vector>
 
 #include "common/thread_annotations.h"
+#include "runtime/spsc_ring.h"
 
 namespace cep2asp {
 
@@ -19,12 +18,15 @@ namespace cep2asp {
 /// what is there, and the task scheduler parks and wakes the tasks.
 /// Capacity is accounted in items.
 ///
-/// Locking discipline is annotated for Clang's thread-safety analysis:
-/// every touch of items_/closed_ holds mutex_.
+/// It is an SpscRing behind one mutex: holding the mutex makes every
+/// producer the single producer and every consumer the single consumer,
+/// so the two containers share one slot store, one capacity rule and one
+/// in-flight check. Locking discipline is annotated for Clang's
+/// thread-safety analysis: every touch of ring_ holds mutex_.
 template <typename T>
 class BoundedQueue {
  public:
-  explicit BoundedQueue(size_t capacity) : capacity_(capacity) {}
+  explicit BoundedQueue(size_t capacity) : ring_(capacity) {}
 
   BoundedQueue(const BoundedQueue&) = delete;
   BoundedQueue& operator=(const BoundedQueue&) = delete;
@@ -37,13 +39,7 @@ class BoundedQueue {
   /// (nothing is taken once closed).
   size_t TryPushN(T* items, size_t n, bool* closed) {
     MutexLock lock(mutex_);
-    *closed = closed_;
-    if (closed_ || n == 0) return 0;
-    const size_t free =
-        capacity_ > items_.size() ? capacity_ - items_.size() : 0;
-    const size_t k = std::min(free, n);
-    for (size_t i = 0; i < k; ++i) items_.push_back(std::move(items[i]));
-    return k;
+    return ring_.TryPushN(items, n, closed);
   }
 
   /// Moves up to `max_items` into `*out` (cleared first) and returns the
@@ -51,30 +47,20 @@ class BoundedQueue {
   /// momentarily empty (park until a producer pushes); 0 with
   /// `*end_of_stream == true` means closed and fully drained.
   size_t TryPopN(std::vector<T>* out, size_t max_items, bool* end_of_stream) {
-    out->clear();
-    *end_of_stream = false;
     MutexLock lock(mutex_);
-    const size_t k = std::min(items_.size(), max_items);
-    for (size_t i = 0; i < k; ++i) {
-      out->push_back(std::move(items_.front()));
-      items_.pop_front();
-    }
-    if (k == 0 && closed_) *end_of_stream = true;
-    return k;
+    return ring_.TryPopN(out, max_items, end_of_stream);
   }
 
   /// Marks the queue closed: TryPopN drains the remaining items, then
   /// reports end-of-stream. Pushes after Close are rejected.
   void Close() {
     MutexLock lock(mutex_);
-    closed_ = true;
+    ring_.Close();
   }
 
  private:
-  const size_t capacity_;
   Mutex mutex_;
-  std::deque<T> items_ CEP2ASP_GUARDED_BY(mutex_);
-  bool closed_ CEP2ASP_GUARDED_BY(mutex_) = false;
+  SpscRing<T> ring_ CEP2ASP_GUARDED_BY(mutex_);
 };
 
 }  // namespace cep2asp

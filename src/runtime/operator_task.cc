@@ -32,8 +32,7 @@ RoutingCollector::RoutingCollector(const JobGraph* graph, NodeId node,
                                    int subtask, const PhysicalLayout* layout,
                                    std::vector<NodeChannels>* channels,
                                    size_t batch_size)
-    : batch_size_(std::max<size_t>(1, batch_size)),
-      cur_batch_(std::max<size_t>(1, batch_size)) {
+    : batch_size_(std::max<size_t>(1, batch_size)) {
   const JobGraph::Node& producer = graph->node(node);
   for (size_t i = 0; i < producer.outputs.size(); ++i) {
     const JobGraph::Edge& edge = producer.outputs[i];
@@ -127,7 +126,7 @@ void RoutingCollector::RouteBlock(OutEdge& e,
   Target& target = targets_[static_cast<size_t>(t)];
   target.pending.push_back(Message::Columnar(e.port, std::move(block), e.slot));
   // A block already amortizes like a full batch: offer it to the channel
-  // right away instead of waiting for cur_batch_ envelopes.
+  // right away instead of waiting for batch_size_ envelopes.
   if (!target.stuck) FlushTarget(t);
 }
 
@@ -158,7 +157,7 @@ void RoutingCollector::Append(int t, Message msg) {
   target.pending.push_back(std::move(msg));
   // A stuck target buffers elastically until the task's next flush retry;
   // offering the channel again per append would only thrash.
-  if (target.pending.size() >= cur_batch_ && !target.stuck) FlushTarget(t);
+  if (target.pending.size() >= batch_size_ && !target.stuck) FlushTarget(t);
 }
 
 void RoutingCollector::FlushTarget(int t) {
@@ -245,9 +244,8 @@ SourceTask::SourceTask(const TaskContext* ctx, NodeId node, Source* source)
       source_(source),
       label_("src:" + source->name()),
       router_(ctx->graph, node, /*subtask=*/0, ctx->layout, ctx->channels,
-              ctx->batch_size),
-      cur_batch_(std::max<size_t>(1, ctx->batch_size)) {
-  staged_.reserve(cur_batch_);
+              ctx->batch_size) {
+  staged_.reserve(ctx->batch_size);
 }
 
 Quantum SourceTask::Park(WakeKind kind, int batches, int64_t deadline_nanos) {
@@ -269,6 +267,7 @@ Quantum SourceTask::RunQuantum() {
     return q;
   }
   Clock* clock = ctx_->clock;
+  const size_t batch_size = ctx_->batch_size;
   bool more = true;
   while (q.batches < kQuantumBatches) {
     staged_.clear();
@@ -279,7 +278,7 @@ Quantum SourceTask::RunQuantum() {
     if (unpaced_ && source_->PacingDeadlineNanos() > 0) unpaced_ = false;
     if (unpaced_) {
       // Unpaced fast path: fill the batch with bare Next() calls.
-      while (staged_.size() < cur_batch_ && (more = source_->Next(&tuple))) {
+      while (staged_.size() < batch_size && (more = source_->Next(&tuple))) {
         staged_.push_back(std::move(tuple));
       }
     } else {
@@ -289,7 +288,7 @@ Quantum SourceTask::RunQuantum() {
       // that fills a whole batch without ever reporting a deadline is
       // unpaced: drop the per-tuple virtual call until the next probe.
       bool saw_deadline = false;
-      while (staged_.size() < cur_batch_) {
+      while (staged_.size() < batch_size) {
         const int64_t due = source_->PacingDeadlineNanos();
         if (due > 0) {
           saw_deadline = true;
@@ -304,7 +303,7 @@ Quantum SourceTask::RunQuantum() {
         }
         staged_.push_back(std::move(tuple));
       }
-      unpaced_ = more && !saw_deadline && staged_.size() >= cur_batch_;
+      unpaced_ = more && !saw_deadline && staged_.size() >= batch_size;
     }
     if (!staged_.empty()) {
       ++q.batches;
@@ -358,9 +357,7 @@ Quantum SourceTask::RunQuantum() {
     if (paced) {
       // Deliver partially staged output before sleeping, then park until
       // the source's own deadline, translated into scheduler time.
-      const bool flushed = router_.TryFlushAll();
-      cur_batch_ = std::max<size_t>(1, cur_batch_ / 2);
-      if (!flushed) return Park(WakeKind::kCredit, q.batches);
+      if (!router_.TryFlushAll()) return Park(WakeKind::kCredit, q.batches);
       const int64_t delta = source_->PacingDeadlineNanos() - clock->NowNanos();
       return Park(WakeKind::kTimer, q.batches,
                   TaskScheduler::SteadyNanos() + std::max<int64_t>(delta, 0));
@@ -369,8 +366,6 @@ Quantum SourceTask::RunQuantum() {
       return Park(WakeKind::kCredit, q.batches);
     }
   }
-  // Full quantum without a stall: grow the staging batch back.
-  cur_batch_ = std::min(std::max<size_t>(1, ctx_->batch_size), cur_batch_ * 2);
   q.outcome = Quantum::Outcome::kYielded;
   return q;
 }
@@ -388,8 +383,7 @@ ChainTask::ChainTask(const TaskContext* ctx,
       router_(ctx->graph, chain_nodes->back(), subtask, ctx->layout,
               ctx->channels, ctx->batch_size),
       aligner_(
-          ctx->layout->num_slots[static_cast<size_t>(chain_nodes->front())]),
-      cur_batch_(std::max<size_t>(1, ctx->batch_size)) {
+          ctx->layout->num_slots[static_cast<size_t>(chain_nodes->front())]) {
   const NodeId head = chain_nodes_->front();
   label_ = ops_.front()->name() + "[" + std::to_string(subtask_) + "]";
   if (aligner_.num_slots() > 0) {
@@ -397,7 +391,7 @@ ChainTask::ChainTask(const TaskContext* ctx,
                               [static_cast<size_t>(subtask_)]
                                   .get();
   }
-  in_.reserve(cur_batch_);
+  in_.reserve(ctx_->batch_size);
   // Collector per chain position, built tail-first: the tail batches into
   // real channels, every link hands to the next operator in-task. `links_`
   // never reallocates (reserved), so the stored downstream pointers stay
@@ -554,23 +548,6 @@ void ChainTask::ProcessBatch(MessageBatch* batch) {
   }
 }
 
-/// Grow toward the configured batch size while input keeps whole quanta
-/// busy; halve only when the task parks input-starved having processed
-/// nothing, so trickling streams flow in small hops. An output stall
-/// deliberately keeps the batch unchanged: under backpressure larger
-/// hand-offs amortize channel synchronization, and halving there pins
-/// every producer at batch 1 on hosts where the consumer never runs
-/// concurrently (the producer stalls once per quantum).
-void ChainTask::AdaptBatch(int batches_used, bool starved) {
-  if (starved && batches_used == 0) {
-    cur_batch_ = std::max<size_t>(1, cur_batch_ / 2);
-  } else if (batches_used >= kQuantumBatches) {
-    cur_batch_ =
-        std::min(std::max<size_t>(1, ctx_->batch_size), cur_batch_ * 2);
-  }
-  router_.set_target_batch(cur_batch_);
-}
-
 Quantum ChainTask::Park(WakeKind kind, int batches) {
   Quantum q;
   q.outcome = Quantum::Outcome::kWaiting;
@@ -604,10 +581,9 @@ Quantum ChainTask::RunQuantum() {
       return q;
     }
   }
-  bool stalled = false;
   while (q.batches < kQuantumBatches && phase_ == Phase::kRun) {
     bool eos = false;
-    const size_t popped = input_->TryPopBatch(&in_, cur_batch_, &eos);
+    const size_t popped = input_->TryPopBatch(&in_, ctx_->batch_size, &eos);
     if (popped == 0) {
       if (eos) {
         // Closed under error unwind: abandon the input.
@@ -618,30 +594,18 @@ Quantum ChainTask::RunQuantum() {
       // before parking, so a stalled stream never strands tuples in a
       // half-filled batch.
       collectors_.front()->Flush();
-      if (!router_.TryFlushAll()) {
-        stalled = true;
-        break;
-      }
-      AdaptBatch(q.batches, /*starved=*/true);
+      if (!router_.TryFlushAll()) return Park(WakeKind::kCredit, q.batches);
       return Park(WakeKind::kInput, q.batches);
     }
     ++q.batches;
     ProcessBatch(&in_);
-    if (router_.stuck()) {
-      stalled = true;
-      break;
-    }
-  }
-  if (stalled) {
-    AdaptBatch(q.batches, /*starved=*/false);
-    return Park(WakeKind::kCredit, q.batches);
+    if (router_.stuck()) return Park(WakeKind::kCredit, q.batches);
   }
   if (phase_ == Phase::kDone) {
     if (!router_.TryFlushAll()) return Park(WakeKind::kCredit, q.batches);
     q.outcome = Quantum::Outcome::kFinished;
     return q;
   }
-  AdaptBatch(q.batches, /*starved=*/false);
   q.outcome = Quantum::Outcome::kYielded;
   return q;
 }

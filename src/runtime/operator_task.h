@@ -105,11 +105,6 @@ class RoutingCollector : public Collector {
   /// pending suffix. Cleared by a successful TryFlushAll.
   bool stuck() const { return stuck_targets_ > 0; }
 
-  /// Adaptive batch sizing: new flush threshold in [1, batch_size].
-  void set_target_batch(size_t target) {
-    cur_batch_ = target < 1 ? 1 : target;
-  }
-
  private:
   struct Target {
     Channel* channel = nullptr;
@@ -141,7 +136,6 @@ class RoutingCollector : public Collector {
   void RouteBlock(OutEdge& e, std::unique_ptr<ColumnarBatch> block);
 
   const size_t batch_size_;
-  size_t cur_batch_;
   bool ships_blocks_ = false;
   /// Set while the EmitColumnar scatter shim runs, so Append attributes
   /// the per-row messages to the receiving channel's scattered_rows.
@@ -201,6 +195,8 @@ struct TaskContext {
   /// fused_tuples[node][subtask]: in-thread hand-off counters of fused
   /// edges, written by the owning chain task only.
   std::vector<std::vector<int64_t>>* fused_tuples = nullptr;
+  /// Micro-batch size (>= 1) at which sources stage, chain tasks pop and
+  /// routers flush; no task adapts it.
   size_t batch_size = 64;
   int watermark_interval = 256;
   Clock* clock = nullptr;
@@ -209,12 +205,12 @@ struct TaskContext {
   std::atomic<int64_t>* tuples_ingested = nullptr;
 };
 
-/// \brief Cooperative task driving one source node: stages up to the
-/// current batch size of tuples per iteration, stamps create_ts, routes
-/// them, and emits periodic watermarks — yielding at quantum boundaries
-/// instead of owning an OS thread. Rate-limited sources park on the
-/// scheduler timer (Source::PacingDeadlineNanos) rather than sleeping a
-/// worker.
+/// \brief Cooperative task driving one source node: stages up to
+/// `batch_size` tuples per iteration, stamps create_ts, routes them, and
+/// emits periodic watermarks — yielding at quantum boundaries instead of
+/// owning an OS thread. Rate-limited sources park on the scheduler timer
+/// (Source::PacingDeadlineNanos) rather than sleeping a worker; a paced
+/// batch holds the tuples due within kPacingSlackNanos.
 class SourceTask : public Task {
  public:
   SourceTask(const TaskContext* ctx, NodeId node, Source* source);
@@ -228,7 +224,6 @@ class SourceTask : public Task {
   std::string label_;
   RoutingCollector router_;
   std::vector<Tuple> staged_;
-  size_t cur_batch_;
   int since_watermark_ = 0;
   bool exhausted_ = false;
   /// Set while the source reports no pacing deadline: batches are then
@@ -261,7 +256,6 @@ class ChainTask : public Task {
   Status CascadeWatermark(Timestamp watermark);
   Status CascadeFinish();
   void ProcessBatch(MessageBatch* batch);
-  void AdaptBatch(int batches_used, bool stalled);
   Quantum Park(WakeKind kind, int batches);
 
   const TaskContext* ctx_;
@@ -276,7 +270,6 @@ class ChainTask : public Task {
   SlotAligner aligner_;
   Channel* input_ = nullptr;
   MessageBatch in_;
-  size_t cur_batch_;
   Phase phase_ = Phase::kStart;
 };
 

@@ -4,6 +4,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <vector>
 
 #include "analysis/check_invariants.h"
@@ -22,23 +24,36 @@ namespace cep2asp {
 ///
 /// Neither side ever waits: TryPushN publishes what fits, TryPopN takes
 /// what is published, and the task scheduler parks and wakes the tasks.
-/// Capacity is rounded up to a power of two. After Close() pushes are
-/// rejected and the consumer drains whatever was published, then sees
-/// end-of-stream.
+/// At most `capacity` items are in flight. The slots are raw storage from
+/// std::allocator<T>::allocate, rounded up to a power of two so a position
+/// maps to its slot by a mask: a slot is constructed on push and destroyed
+/// on pop (or with the ring), so building a ring touches no item and the
+/// steady state allocates nothing. After Close() pushes are rejected and
+/// the consumer drains whatever was published, then sees end-of-stream.
 template <typename T>
 class SpscRing {
  public:
-  explicit SpscRing(size_t min_capacity) {
-    size_t cap = 2;
-    while (cap < min_capacity) cap <<= 1;
-    slots_.resize(cap);
-    mask_ = cap - 1;
+  explicit SpscRing(size_t capacity)
+      : capacity_(std::max<size_t>(1, capacity)) {
+    size_t slots = 1;
+    while (slots < capacity_) slots <<= 1;
+    mask_ = slots - 1;
+    slots_ = std::allocator<T>().allocate(slots);
+  }
+
+  /// Destroys the items still in flight; both sides are done by now.
+  ~SpscRing() {
+    const uint64_t tail = tail_.load(std::memory_order_acquire);
+    for (uint64_t i = head_.load(std::memory_order_acquire); i != tail; ++i) {
+      Slot(i)->~T();
+    }
+    std::allocator<T>().deallocate(slots_, mask_ + 1);
   }
 
   SpscRing(const SpscRing&) = delete;
   SpscRing& operator=(const SpscRing&) = delete;
 
-  size_t capacity() const { return slots_.size(); }
+  size_t capacity() const { return capacity_; }
 
   /// Publishes a maximal prefix of `items[0..n)` — whatever fits the free
   /// space right now — and returns how many were moved out (the caller
@@ -55,7 +70,7 @@ class SpscRing {
     }
     const size_t chunk = std::min(free, n);
     for (size_t i = 0; i < chunk; ++i) {
-      slots_[static_cast<size_t>(tail + i) & mask_] = std::move(items[i]);
+      ::new (static_cast<void*>(Slot(tail + i))) T(std::move(items[i]));
     }
     if (chunk > 0) tail_.store(tail + chunk, std::memory_order_release);
 #if CEP2ASP_CHECK_INVARIANTS
@@ -78,7 +93,9 @@ class SpscRing {
     if (max_items == 0) return 0;
     const uint64_t head = head_.load(std::memory_order_relaxed);
     size_t avail = static_cast<size_t>(cached_tail_ - head);
-    if (avail == 0) {
+    if (avail < max_items) {
+      // Like the producer's free-space refresh: a pop takes every
+      // published item up to max_items, not just the cached view.
       cached_tail_ = tail_.load(std::memory_order_acquire);
       avail = static_cast<size_t>(cached_tail_ - head);
     }
@@ -103,7 +120,9 @@ class SpscRing {
 #endif
     const size_t k = std::min(avail, max_items);
     for (size_t i = 0; i < k; ++i) {
-      out->push_back(std::move(slots_[static_cast<size_t>(head + i) & mask_]));
+      T* slot = Slot(head + i);
+      out->push_back(std::move(*slot));
+      slot->~T();
     }
     head_.store(head + k, std::memory_order_release);
     return k;
@@ -112,8 +131,11 @@ class SpscRing {
   void Close() { closed_.store(true, std::memory_order_release); }
 
  private:
-  std::vector<T> slots_;
+  T* Slot(uint64_t pos) { return slots_ + (static_cast<size_t>(pos) & mask_); }
+
+  const size_t capacity_;
   size_t mask_ = 0;
+  T* slots_ = nullptr;
 
   alignas(64) std::atomic<uint64_t> head_{0};   // next slot to pop (consumer)
   alignas(64) uint64_t cached_tail_ = 0;        // consumer's view of tail

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <queue>
 #include <string>
 #include <thread>
@@ -92,7 +91,10 @@ class Task {
 /// take from the top (FIFO — the oldest task is the least cache-warm and
 /// the most overdue). The access pattern is the classic Chase–Lev deque; a
 /// plain lock keeps it trivially TSan-clean, and the quantum granularity
-/// (hundreds of messages per pop) makes the lock cost irrelevant.
+/// (hundreds of messages per pop) makes the lock cost irrelevant. A task
+/// sits in at most one run queue, so a queue holds at most the job's task
+/// count: a vector whose storage is kept across pushes, with a steal
+/// shifting those few pointers.
 class WorkStealingDeque {
  public:
   void PushBottom(Task* task) {
@@ -112,7 +114,7 @@ class WorkStealingDeque {
     MutexLock lock(mutex_);
     if (items_.empty()) return nullptr;
     Task* task = items_.front();
-    items_.pop_front();
+    items_.erase(items_.begin());
     return task;
   }
 
@@ -123,7 +125,7 @@ class WorkStealingDeque {
 
  private:
   mutable Mutex mutex_;
-  std::deque<Task*> items_ CEP2ASP_GUARDED_BY(mutex_);
+  std::vector<Task*> items_ CEP2ASP_GUARDED_BY(mutex_);
 };
 
 /// \brief Fixed worker pool running cooperative tasks to completion.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <thread>
 
 #include "analysis/chain_rules.h"
@@ -158,7 +159,7 @@ TEST(BoundedQueueTest, CrossThreadTransferPreservesOrder) {
 // --- SpscRing ----------------------------------------------------------------
 
 TEST(SpscRingTest, FifoOrderWithWraparound) {
-  SpscRing<int> ring(4);  // rounds to a small power of two
+  SpscRing<int> ring(4);
   ASSERT_EQ(ring.capacity(), 4u);
   int next_push = 0, next_pop = 0;
   std::vector<int> batch;
@@ -244,6 +245,92 @@ TEST(SpscRingTest, CloseDrainsThenReportsEndOfStream) {
   ASSERT_EQ(ring.TryPopN(&popped, 64, &eos), 4u);
   EXPECT_FALSE(eos);
   EXPECT_EQ(popped, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(ring.TryPopN(&popped, 64, &eos), 0u);
+  EXPECT_TRUE(eos);
+}
+
+// --- Ring storage (both containers) ------------------------------------------
+
+/// Names a channel container template so one typed suite covers both.
+template <template <typename> class C>
+struct Container {
+  template <typename T>
+  using Of = C<T>;
+};
+
+template <typename TypeParam>
+class RingStorageTest : public ::testing::Test {};
+using RingContainers =
+    ::testing::Types<Container<BoundedQueue>, Container<SpscRing>>;
+TYPED_TEST_SUITE(RingStorageTest, RingContainers);
+
+TYPED_TEST(RingStorageTest, FifoAcrossWrapsAtNonPowerOfTwoCapacity) {
+  // Capacity 5 sits on 8 slots of storage: the bound must stay 5, and
+  // order must survive the storage wrapping around several times.
+  typename TypeParam::template Of<int> ring(5);
+  int next_push = 0, next_pop = 0;
+  std::vector<int> batch, popped;
+  bool closed = false;
+  bool eos = false;
+  for (int round = 0; round < 12; ++round) {
+    // Offer more than fits: the push takes exactly the free capacity.
+    batch.clear();
+    for (int i = 0; i < 7; ++i) batch.push_back(next_push + i);
+    const size_t in_flight = static_cast<size_t>(next_push - next_pop);
+    const size_t moved = TryPushAndErase(&ring, &batch, &closed);
+    ASSERT_EQ(moved, 5 - in_flight) << "round " << round;
+    next_push += static_cast<int>(moved);
+    EXPECT_EQ(TryPushAndErase(&ring, &batch, &closed), 0u) << "full at 5";
+    ASSERT_EQ(ring.TryPopN(&popped, 3, &eos), 3u);
+    for (int v : popped) EXPECT_EQ(v, next_pop++);
+  }
+  EXPECT_GE(next_push, 3 * 8) << "fewer than 3 wraps of the 8-slot storage";
+  ASSERT_EQ(ring.TryPopN(&popped, 64, &eos), 2u);
+  for (int v : popped) EXPECT_EQ(v, next_pop++);
+  EXPECT_EQ(next_pop, next_push);
+  EXPECT_FALSE(eos);
+}
+
+TYPED_TEST(RingStorageTest, PopAndDestructionReleasePayloads) {
+  auto payload = std::make_shared<int>(7);
+  std::vector<std::shared_ptr<int>> batch, popped;
+  bool closed = false;
+  bool eos = false;
+  {
+    typename TypeParam::template Of<std::shared_ptr<int>> ring(5);
+    batch.assign(5, payload);
+    ASSERT_EQ(TryPushAndErase(&ring, &batch, &closed), 5u);
+    EXPECT_EQ(payload.use_count(), 6);
+    ASSERT_EQ(ring.TryPopN(&popped, 4, &eos), 4u);
+    popped.clear();
+    // A popped slot holds no copy of its item.
+    EXPECT_EQ(payload.use_count(), 2);
+    // Leave items in flight across the storage's end (positions 4..8).
+    batch.assign(4, payload);
+    ASSERT_EQ(TryPushAndErase(&ring, &batch, &closed), 4u);
+    EXPECT_EQ(payload.use_count(), 6);
+  }
+  // Destroying the container destroys the items still in flight.
+  EXPECT_EQ(payload.use_count(), 1);
+}
+
+TYPED_TEST(RingStorageTest, CloseAfterWrapDrainsThenReportsEndOfStream) {
+  typename TypeParam::template Of<int> ring(5);
+  std::vector<int> batch = {0, 1, 2, 3, 4};
+  std::vector<int> popped;
+  bool closed = false;
+  bool eos = false;
+  ASSERT_EQ(TryPushAndErase(&ring, &batch, &closed), 5u);
+  ASSERT_EQ(ring.TryPopN(&popped, 64, &eos), 5u);
+  batch = {5, 6, 7, 8};  // positions 5..8 wrap the 8-slot storage
+  ASSERT_EQ(TryPushAndErase(&ring, &batch, &closed), 4u);
+  ring.Close();
+  batch = {9};
+  EXPECT_EQ(TryPushAndErase(&ring, &batch, &closed), 0u);
+  EXPECT_TRUE(closed);
+  ASSERT_EQ(ring.TryPopN(&popped, 64, &eos), 4u);
+  EXPECT_FALSE(eos);
+  EXPECT_EQ(popped, (std::vector<int>{5, 6, 7, 8}));
   EXPECT_EQ(ring.TryPopN(&popped, 64, &eos), 0u);
   EXPECT_TRUE(eos);
 }
@@ -895,7 +982,7 @@ TEST(ThreadedExecutorTest, ChainDeliversWatermarkEmissionsBeforeTheWatermark) {
 
 TEST(ThreadedExecutorTest, RateLimitedSourceStillFlushesPartialBatches) {
   // A slow source must not strand tuples in half-filled batches: the
-  // adaptive staging plus flush-on-idle keeps matches flowing.
+  // flush before each paced park plus flush-on-idle keeps matches flowing.
   JobGraph graph;
   NodeId src = graph.AddSource(std::make_unique<RateLimitedSource>(
       std::make_unique<VectorSource>("s", MakeEvents(0, 50)), 5000.0));
@@ -908,6 +995,43 @@ TEST(ThreadedExecutorTest, RateLimitedSourceStillFlushesPartialBatches) {
   ExecutionResult result = executor.Run(sink);
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_EQ(result.matches_emitted, 50);
+}
+
+TEST(ThreadedExecutorTest, PacedSourceDoesNotShrinkBlocks) {
+  // A paced source stages every tuple due within the pacing slack into one
+  // block (about 20 at 200k tuples/s). Shrinking the staging batch on each
+  // timer park would ship blocks of a few rows, each costing a whole
+  // ColumnarBatch.
+  constexpr int kEvents = 20000;
+  JobGraph graph;
+  NodeId src = graph.AddSource(std::make_unique<RateLimitedSource>(
+      std::make_unique<VectorSource>("s", MakeEvents(0, kEvents)), 200000.0));
+  Predicate pass;  // empty filter: every row survives to the key stage
+  NodeId key = graph.AddOperatorAfter(
+      src, std::make_unique<CompiledStatelessOperator>(
+               ExprProgram::Fuse(
+                   ExprProgram::Filter(pass, ExprProgram::VarMode::kBroadcast),
+                   ExprProgram::KeyByAttribute(0, Attribute::kId)),
+               "key"));
+  auto sink_op = std::make_unique<CollectSink>(false);
+  CollectSink* sink = sink_op.get();
+  graph.AddOperatorAfter(key, std::move(sink_op));
+  ThreadedExecutorOptions options;
+  options.worker_threads = 1;
+  ThreadedExecutor executor(&graph, options);
+  ExecutionResult result = executor.Run(sink);
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.matches_emitted, kEvents);
+  int64_t blocks = 0, block_rows = 0;
+  for (const ChannelStats& stats : result.channel_stats) {
+    if (stats.consumer.rfind("key", 0) != 0) continue;
+    blocks += stats.columnar_blocks;
+    block_rows += stats.columnar_rows;
+  }
+  EXPECT_EQ(block_rows, kEvents);
+  ASSERT_GT(blocks, 0);
+  EXPECT_GE(block_rows / blocks, 8)
+      << blocks << " blocks for " << block_rows << " rows";
 }
 
 // --- Metrics ----------------------------------------------------------------------
